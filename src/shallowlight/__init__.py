@@ -40,8 +40,8 @@ from .instances import KINDS, Instance, generate, splitmix64
 from .oracles import Certificate, brute_force_opt_st, steiner_lower_bound_certificate
 from .pipeline import BuildReport, build_slt
 from .render import render_svg, write_svg
-from .restricted import level_rectangles, prune_path, restricted_tile_paths, restricted_tile_tree
-from .steiner import Ladder, ladder_depth, ladder_lines, steiner_tile_paths, steiner_tile_tree
+from .restricted import level_rectangles, prune_path, restricted_tile_paths
+from .steiner import Ladder, ladder_depth, ladder_lines, steiner_tile_paths
 from .textio import read_instance, read_tree, write_instance, write_tree
 from .tiling import CanonicalFrame, TileId, TilingParams, canonical_frame, polygon_sides, tile_of, tiles_of
 
@@ -90,7 +90,6 @@ __all__ = [
     "read_instance",
     "read_tree",
     "restricted_tile_paths",
-    "restricted_tile_tree",
     "root_stretch",
     "sandwich_ellipse",
     "shortest_path_tree",
@@ -99,7 +98,6 @@ __all__ = [
     "splitmix64",
     "steiner_lower_bound_certificate",
     "steiner_tile_paths",
-    "steiner_tile_tree",
     "tile_of",
     "tiles_of",
     "vertical_cross_section",

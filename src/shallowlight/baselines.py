@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, RootedTree, mst
+from .graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, RootedTree, mst, root_distances
 
 _STRETCH_RTOL = 1e-9
 
@@ -112,26 +112,9 @@ def kry_slt(instance) -> RootedTree:
             parent[v] = u
         stack.append((v, u, w, 0))
 
-    dist = _root_distances(parent, pts, s)
+    dist = root_distances(parent, pts, s)
     _check_stretch(dist, ds, eps, "kry_slt")
     return RootedTree(pts.copy(), _input_kinds(instance), s, parent, dist)
-
-
-def _root_distances(parent, xy, s) -> np.ndarray:
-    n = len(parent)
-    dist = np.full(n, -1.0)
-    dist[s] = 0.0
-    for v in range(n):
-        chain = []
-        u = v
-        while dist[u] < 0.0:
-            chain.append(u)
-            u = parent[u]
-        acc = dist[u]
-        for w in reversed(chain):
-            acc += math.dist(xy[w], xy[parent[w]])
-            dist[w] = acc
-    return dist
 
 
 def _check_stretch(dist, ds, eps, who: str) -> None:
@@ -219,7 +202,7 @@ def abp_slt(instance) -> RootedTree:
             parent[order[t]] = order[t - 1]
         for t in range(lo, a):
             parent[order[t]] = order[t + 1]
-    dist = _root_distances(parent, pts, s)
+    dist = root_distances(parent, pts, s)
     return RootedTree(pts.copy(), _input_kinds(instance), s, parent, dist)
 
 
@@ -267,5 +250,5 @@ def solomon_slt(instance) -> RootedTree:
 
     xy_arr = np.asarray(xy, dtype=np.float64)
     parent_arr = np.asarray(parent, dtype=np.int64)
-    dist = _root_distances(parent_arr, xy_arr, s)
+    dist = root_distances(parent_arr, xy_arr, s)
     return RootedTree(xy_arr, np.asarray(kind, dtype=np.int8), s, parent_arr, dist)

@@ -16,10 +16,8 @@ import csv
 import sys
 import time
 
-import numpy as np
-
 from . import baselines, instances, textio
-from .graphcore import KIND_SOURCE, lightness, mst, root_stretch
+from .graphcore import lightness, mst, root_stretch, verify_tree
 from .oracles import brute_force_opt_st, steiner_lower_bound_certificate
 from .pipeline import MODES, build_slt
 from .render import write_svg
@@ -58,19 +56,11 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     inst = textio.read_instance(args.input)
     tree = textio.read_tree(args.tree)
-    n = inst.n
-    failures = []
-    if tree.n_vertices < n or not np.array_equal(tree.xy[:n], inst.points):
-        print("verify: tree does not carry the instance points as vertices 0..n-1",
-              file=sys.stderr)
+    failures = verify_tree(tree, inst)
+    if failures:
+        for msg in failures:
+            print(f"verify: {msg}", file=sys.stderr)
         return 1
-    if tree.root != inst.source_index:
-        failures.append(f"root {tree.root} != instance source {inst.source_index}")
-    if int(tree.kind[tree.root]) != KIND_SOURCE:
-        failures.append("root vertex is not marked as the source")
-    dist_err = _root_dist_consistency(tree)
-    if dist_err > 1e-9:
-        failures.append(f"stored root distances off by {dist_err:.3g} (rel)")
 
     stretch = root_stretch(tree, inst)
     light = lightness(tree, inst)
@@ -90,18 +80,6 @@ def _cmd_verify(args) -> int:
     for msg in failures:
         print(f"verify: {msg}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _root_dist_consistency(tree) -> float:
-    """Max relative mismatch between stored root_dist and edge-length sums."""
-    e = tree.edge_list()
-    if not e.size:
-        return 0.0
-    seg = np.hypot(tree.xy[e[:, 0], 0] - tree.xy[e[:, 1], 0],
-                   tree.xy[e[:, 0], 1] - tree.xy[e[:, 1], 1])
-    want = tree.root_dist[e[:, 1]] + seg
-    got = tree.root_dist[e[:, 0]]
-    return float(np.max(np.abs(got - want) / np.maximum(want, 1e-30)))
 
 
 def _cmd_bench(args) -> int:

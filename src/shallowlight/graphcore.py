@@ -7,18 +7,20 @@ GeoGraph.build recomputes them from coordinates so they cannot drift.
 mst() is exact: a dense O(n^2) Prim for n <= 3000, and above that Prim-style
 construction on a k-nearest-neighbor candidate graph (k=16, doubled until the
 candidate graph is connected), which the tests validate against the dense
-version. shortest_path_tree is binary-heap Dijkstra with parent ties broken
-toward the lower vertex id.
+version. shortest_path_tree takes distances from scipy's Dijkstra and gives
+each vertex the lowest-id neighbor u with dist[u] + w(u, v) == dist[v] as its
+parent. root_distances sums edge lengths along parent chains, and verify_tree
+checks a tree's structure against its instance.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 from scipy.spatial import cKDTree
 
@@ -67,18 +69,6 @@ class GeoGraph:
     def total_weight(self) -> float:
         # sorted before summing so equal edge multisets give bitwise-equal totals
         return float(np.sort(self.weights).sum())
-
-    def adjacency_csr(self):
-        """Symmetric CSR arrays (indptr, nbr, wt) for traversal."""
-        n = self.n_vertices
-        e = self.edges
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        ww = np.concatenate([self.weights, self.weights])
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst[order], ww[order]
 
 
 @dataclass
@@ -182,50 +172,83 @@ def mst(points) -> tuple[np.ndarray, float]:
 
 
 def shortest_path_tree(g: GeoGraph, root: int) -> RootedTree:
-    """Dijkstra SPT from root; parent ties resolve to the lower vertex id."""
+    """Dijkstra SPT from root; parent ties resolve to the lower vertex id.
+
+    Every tight predecessor u of v (dist[u] + w(u, v) == dist[v]) is settled
+    before v, so taking the lowest such u is the lower-id tie rule.
+    """
     n = g.n_vertices
     if not 0 <= root < n:
         raise ValueError("shortest_path_tree: root out of range")
-    indptr_a, nbr_a, wt_a = g.adjacency_csr()
-    indptr = indptr_a.tolist()
-    nbr = nbr_a.tolist()
-    wt = wt_a.tolist()
-    INF = math.inf
-    dist = [INF] * n
-    parent = [-1] * n
-    done = bytearray(n)
+    e = g.edges
+    csr = csr_matrix((g.weights, (e[:, 0], e[:, 1])), shape=(n, n))
+    dist = _scipy_dijkstra(csr, directed=False, indices=root)
+    unreachable = np.flatnonzero(np.isinf(dist))
+    if unreachable.size:
+        raise ValueError(
+            f"shortest_path_tree: unreachable vertices {unreachable[:10].tolist()}")
+    u = np.concatenate([e[:, 0], e[:, 1]])
+    v = np.concatenate([e[:, 1], e[:, 0]])
+    tight = dist[u] + np.concatenate([g.weights, g.weights]) == dist[v]
+    parent = np.full(n, n, dtype=np.int64)
+    np.minimum.at(parent, v[tight], u[tight])
+    parent[root] = -1
+    return RootedTree(g.xy, g.kind, root, parent, dist)
+
+
+def root_distances(parent, xy, root: int) -> np.ndarray:
+    """Edge-length sums along parent chains; ValueError if a chain has a cycle.
+
+    Parents must be in range; the root's parent is never followed.
+    """
+    m = len(parent)
+    dist = np.full(m, -1.0)
     dist[root] = 0.0
-    heap = [(0.0, root)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        du = dist[u]
-        if d > du:
-            continue
-        for i in range(indptr[u], indptr[u + 1]):
-            v = nbr[i]
-            nd = du + wt[i]
-            dv = dist[v]
-            if nd < dv:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-            elif nd == dv and parent[v] > u:
-                parent[v] = u
-    unreachable = [i for i in range(n) if dist[i] == INF]
-    if unreachable:
-        raise ValueError(f"shortest_path_tree: unreachable vertices {unreachable[:10]}")
-    return RootedTree(
-        g.xy,
-        g.kind,
-        root,
-        np.asarray(parent, dtype=np.int64),
-        np.asarray(dist, dtype=np.float64),
-    )
+    for v in range(m):
+        chain = []
+        u = v
+        while dist[u] < 0.0:
+            chain.append(u)
+            u = parent[u]
+            if len(chain) > m:
+                raise ValueError(f"parent chain of vertex {v} has a cycle")
+        acc = dist[u]
+        for w in reversed(chain):
+            acc += math.dist(xy[w], xy[parent[w]])
+            dist[w] = acc
+    return dist
+
+
+def verify_tree(tree: RootedTree, instance) -> list[str]:
+    """Faults of tree as a tree over instance; an empty list means none.
+
+    Checks that vertices 0..n-1 are the instance points in order, that the
+    root is the source and marked KIND_SOURCE, that every parent is in range
+    and every chain reaches the root, and that the stored root distances
+    match the edge sums to a relative 1e-9.
+    """
+    n = instance.n
+    m = tree.n_vertices
+    if m < n or not np.array_equal(tree.xy[:n], instance.points):
+        return ["tree does not carry the instance points as vertices 0..n-1"]
+    faults = []
+    if tree.root != instance.source_index:
+        faults.append(f"root {tree.root} != instance source {instance.source_index}")
+    if int(tree.kind[tree.root]) != KIND_SOURCE:
+        faults.append("root vertex is not marked as the source")
+    bad = (tree.parent < 0) | (tree.parent >= m)
+    bad[tree.root] = tree.parent[tree.root] != -1
+    if bad.any():
+        v = int(np.flatnonzero(bad)[0])
+        return faults + [f"parent {int(tree.parent[v])} of vertex {v} out of range"]
+    try:
+        want = root_distances(tree.parent, tree.xy, tree.root)
+    except ValueError as e:
+        return faults + [str(e)]
+    err = float(np.max(np.abs(tree.root_dist - want) / np.maximum(want, 1e-30)))
+    if not err <= 1e-9:  # NaN distances fail too
+        faults.append(f"stored root distances off by {err:.3g} (rel)")
+    return faults
 
 
 def root_stretch(tree: RootedTree, instance) -> float:

@@ -13,8 +13,6 @@ import bisect
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geom import Interval
-
 
 @dataclass(frozen=True)
 class StripRect:
@@ -29,9 +27,6 @@ class StripRect:
     y_lo: float
     y_hi: float
     owner: int
-
-    def y_interval(self) -> Interval:
-        return Interval(self.y_lo, self.y_hi)
 
 
 def _check(intervals):

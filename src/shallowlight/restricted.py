@@ -82,30 +82,6 @@ def prune_path(path: LeveledPath) -> LeveledPath:
     return LeveledPath(verts, levels)
 
 
-def candidate_path(p_idx: int, pts: np.ndarray, available, eps: float, source_id: int) -> LeveledPath:
-    """Unpruned path of one net point through the lowest-index available stop
-    per nonempty search box. `available` holds candidate vertex ids; a box with
-    no available point inside is skipped."""
-    pts = np.asarray(pts, dtype=np.float64)
-    rects = level_rectangles(pts[p_idx], eps, owner=p_idx)
-    avail = sorted(int(v) for v in available)
-    verts = [p_idx]
-    levels = []
-    for i, r in enumerate(rects):
-        if r is None:
-            continue
-        pick = next(
-            (v for v in avail
-             if r.x_lo < pts[v, 0] <= r.x_hi and r.y_lo <= pts[v, 1] <= r.y_hi),
-            None,
-        )
-        if pick is not None:
-            verts.append(pick)
-            levels.append(i)
-    verts.append(source_id)
-    return LeveledPath(verts, levels)
-
-
 @dataclass
 class StripInfo:
     """One strip shared by the net points whose ladders agree at this level."""
@@ -216,8 +192,3 @@ def restricted_tile_paths(net_idx, pts, eps: float) -> RestrictedTileResult:
     kind[source_id] = KIND_SOURCE
     g = GeoGraph.build(xy, kind, edges or np.empty((0, 2)))
     return RestrictedTileResult(g, source_id, k, paths, raw_paths, strips)
-
-
-def restricted_tile_tree(net_idx, pts, eps: float) -> GeoGraph:
-    """Union multigraph of all pruned hitting-set paths of one canonical tile."""
-    return restricted_tile_paths(net_idx, pts, eps).graph

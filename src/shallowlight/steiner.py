@@ -43,9 +43,6 @@ class Ladder:
     def x(self, i: int) -> float:
         return self.line_index[i] * (4.0**i * self.eps)
 
-    def xs(self) -> list[float]:
-        return [self.x(i) for i in range(self.levels)]
-
 
 def ladder_depth(eps: float) -> int:
     """Number of ladder levels: max(1, floor(log4(1/(16 eps))) + 1)."""
@@ -155,8 +152,3 @@ def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
 
     g = GeoGraph.build(np.asarray(xy), np.asarray(kind, dtype=np.int8), edges or np.empty((0, 2)))
     return SteinerTileResult(g, paths, source_id, k, lines)
-
-
-def steiner_tile_tree(net, eps: float) -> GeoGraph:
-    """Union multigraph of all ladder paths of a canonical tile's net points."""
-    return steiner_tile_paths(net, eps).graph

@@ -15,11 +15,9 @@ instance file                      tree file
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .graphcore import KIND_CODES, KIND_NAMES, RootedTree
+from .graphcore import KIND_CODES, KIND_NAMES, RootedTree, root_distances
 from .instances import Instance
 
 INSTANCE_MAGIC = "slt-instance v1"
@@ -176,23 +174,8 @@ def read_tree(path: str) -> RootedTree:
     if m > 1 and not seen_child[np.arange(m) != root].all():
         missing = int(np.flatnonzero(~seen_child & (np.arange(m) != root))[0])
         r.fail(f"vertex {missing} is not connected to the tree")
-    return _rooted_from_parents(xy, kind, root, parent, path)
-
-
-def _rooted_from_parents(xy, kind, root, parent, path) -> RootedTree:
-    m = len(parent)
-    dist = np.full(m, -1.0)
-    dist[root] = 0.0
-    for v in range(m):
-        chain = []
-        u = v
-        while dist[u] < 0.0:
-            chain.append(u)
-            u = parent[u]
-            if len(chain) > m:
-                raise ParseError(f"{path}: edges contain a cycle near vertex {v}")
-        acc = dist[u]
-        for w in reversed(chain):
-            acc += math.dist(xy[w], xy[parent[w]])
-            dist[w] = acc
+    try:
+        dist = root_distances(parent, xy, root)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
     return RootedTree(xy, kind, int(root), parent, dist)

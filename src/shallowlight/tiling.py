@@ -100,29 +100,22 @@ def polygon_sides(eps: float) -> int:
 
 
 def tile_of(p, params: TilingParams) -> TileId:
-    """Tile containing p. Boundaries are lower-closed in both angle and radius.
-
-    sector = floor(phi * k / 2pi) with phi = atan2 angle of p-s in [0, 2pi);
-    ring = floor(log2(r cos delta)) where delta is the angular offset from the
-    sector's face normal, computed by exponent extraction (frexp), so
-    r cos delta = 2^i lands exactly in ring i.
-    """
-    k = params.sides
-    vx = float(p[0]) - params.source[0]
-    vy = float(p[1]) - params.source[1]
-    r = math.hypot(vx, vy)
-    if r == 0.0:
-        raise ValueError("tile_of: p coincides with the source")
-    phi = math.atan2(vy, vx) % (2.0 * math.pi)
-    sector = min(int(phi * k / (2.0 * math.pi)), k - 1)
-    delta = phi - (2 * sector + 1) * math.pi / k
-    depth = r * math.cos(delta)
-    mant, ex = math.frexp(depth)  # depth = mant * 2^ex, mant in [0.5, 1)
-    return TileId(ex - 1, sector)
+    """Tile containing p: a one-row call to tiles_of, so its rounding on the
+    sector rays, sector = floor(phi * (k / 2pi)), is exactly the pipeline's."""
+    rings, sectors = tiles_of(np.asarray(p, dtype=np.float64).reshape(1, 2), params)
+    return TileId(rings[0], sectors[0])
 
 
 def tiles_of(points: np.ndarray, params: TilingParams):
-    """Vectorized tile_of: (n,2) array -> (rings, sectors) int arrays."""
+    """Tiles of an (n, 2) array: (rings, sectors) int arrays.
+
+    Boundaries are lower-closed in both angle and radius.
+    sector = floor(phi * (k / 2pi)), rounded in that order, with phi the atan2
+    angle of p-s in [0, 2pi), so a point built on a sector ray may land on
+    either side of it; ring = floor(log2(r cos delta)) where delta is the
+    angular offset from the sector's face normal, computed by exponent
+    extraction (frexp), so r cos delta = 2^i lands exactly in ring i.
+    """
     k = params.sides
     v = np.asarray(points, dtype=np.float64) - np.array(params.source)
     r = np.hypot(v[:, 0], v[:, 1])

@@ -86,33 +86,6 @@ def tree_edge_set(tree):
     }
 
 
-def check_tree_shape(tree, instance):
-    """Structural checks shared by every builder's output."""
-    n = instance.n
-    m = tree.xy.shape[0]
-    assert m >= n
-    assert np.array_equal(tree.xy[:n], instance.points)
-    assert tree.root == instance.source_index
-    assert tree.parent[tree.root] == -1
-    # every non-root vertex reaches the root without cycles
-    for v in range(m):
-        seen = 0
-        u = v
-        while u != tree.root:
-            u = int(tree.parent[u])
-            seen += 1
-            assert 0 <= u < m
-            assert seen <= m, "parent chain does not terminate"
-    # root_dist is consistent with the parent chain
-    for v in range(m):
-        p = int(tree.parent[v])
-        if p >= 0:
-            step = math.dist(tree.xy[v], tree.xy[p])
-            assert abs(tree.root_dist[v] - (tree.root_dist[p] + step)) <= 1e-9 * max(
-                1.0, tree.root_dist[v]
-            )
-
-
 def exit_lower_bound(instance, region, eps: float) -> float:
     """Weight that any spanning tree of root-stretch <= 1+eps spends leaving `region`.
 

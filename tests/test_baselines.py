@@ -19,9 +19,10 @@ from shallowlight.graphcore import (
     lightness,
     mst,
     root_stretch,
+    verify_tree,
 )
 from shallowlight.instances import generate
-from helpers import check_tree_shape, make_instance
+from helpers import make_instance
 
 
 def _battery(eps):
@@ -35,7 +36,7 @@ def _battery(eps):
 def test_mst_rooted_lightness_exactly_one():
     for inst in _battery(0.0625):
         t = mst_rooted(inst)
-        check_tree_shape(t, inst)
+        assert verify_tree(t, inst) == []
         assert t.n_vertices == inst.n
         assert lightness(t, inst) == 1.0
 
@@ -44,7 +45,7 @@ def test_kry_stretch_guarantee_and_weight():
     for eps in (0.25, 0.0625):
         for inst in _battery(eps):
             t = kry_slt(inst)
-            check_tree_shape(t, inst)
+            assert verify_tree(t, inst) == []
             assert root_stretch(t, inst) <= (1.0 + eps) * (1.0 + 1e-9)
             # classic charging argument: reparenting pays at most 2/eps extra
             assert lightness(t, inst) <= 1.0 + 2.0 / eps + 1e-9
@@ -95,7 +96,7 @@ def test_abp_stretch_and_tree_shape():
     for eps in (0.25, 0.0625, 0.01):
         for inst in _battery(eps):
             t = abp_slt(inst)
-            check_tree_shape(t, inst)
+            assert verify_tree(t, inst) == []
             assert t.n_vertices == inst.n
             assert root_stretch(t, inst) <= (1.0 + eps) * (1.0 + 1e-9)
 
@@ -125,7 +126,7 @@ def test_solomon_stretch_and_shape():
     for eps in (0.25, 0.0625, 0.01):
         for inst in _battery(eps):
             t = solomon_slt(inst)
-            check_tree_shape(t, inst)
+            assert verify_tree(t, inst) == []
             assert t.n_vertices >= inst.n
             extra = t.kind[inst.n :]
             assert set(extra.tolist()) <= {KIND_STEINER}

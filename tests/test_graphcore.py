@@ -18,9 +18,13 @@ from shallowlight.graphcore import (
     _prim_dense,
     lightness,
     mst,
+    root_distances,
     root_stretch,
     shortest_path_tree,
+    verify_tree,
 )
+from shallowlight.baselines import kry_slt
+from shallowlight.instances import generate
 from helpers import floyd_warshall, make_instance
 
 
@@ -122,19 +126,6 @@ def test_total_weight_is_order_canonical():
     assert g1.total_weight() == g2.total_weight()  # bitwise equal
 
 
-def test_adjacency_csr_is_symmetric():
-    xy = [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)]
-    g = GeoGraph.build(xy, [0, 0, 0], [(0, 1), (1, 2), (0, 2)])
-    indptr, nbr, wt = g.adjacency_csr()
-    assert indptr.tolist() == [0, 2, 4, 6]
-    seen = {}
-    for u in range(3):
-        for i in range(indptr[u], indptr[u + 1]):
-            seen[(u, int(nbr[i]))] = float(wt[i])
-    for (u, v), w in seen.items():
-        assert seen[(v, u)] == w
-
-
 def test_rooted_tree_rejects_bad_root_parent():
     xy = np.array([[0.0, 0.0], [1.0, 0.0]])
     kind = np.zeros(2, dtype=np.int8)
@@ -192,6 +183,57 @@ def test_spt_error_cases():
         shortest_path_tree(g, 3)
     with pytest.raises(ValueError, match="unreachable"):
         shortest_path_tree(g, 0)
+
+
+def test_root_distances_sums_chain_edges_and_rejects_cycles():
+    xy = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0], [6.0, 4.0]])
+    assert root_distances(np.array([-1, 2, 0, 1]), xy, 0).tolist() == [0.0, 7.0, 3.0, 10.0]
+    with pytest.raises(ValueError, match="cycle"):
+        root_distances(np.array([-1, 3, 0, 1]), xy, 0)
+
+
+def _break_wrong_root(t):
+    t.parent[5], t.root = -1, 5
+
+
+def _break_cycle(t):
+    a, b = (int(v) for v in np.flatnonzero(t.parent > 0)[:2])
+    t.parent[a], t.parent[b] = b, a
+
+
+def _scale_root_dist(factor):
+    def fault(t):
+        t.root_dist[7] *= factor
+    return fault
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param(_break_wrong_root, "root 5 != instance source 0", id="wrong-root"),
+    pytest.param(lambda t: t.kind.__setitem__(0, KIND_INPUT), "not marked as the source",
+                 id="root-not-source"),
+    pytest.param(_break_cycle, "cycle", id="parent-cycle"),
+    pytest.param(lambda t: t.parent.__setitem__(3, t.n_vertices), "out of range",
+                 id="parent-past-end"),
+    pytest.param(lambda t: t.parent.__setitem__(3, -1), "out of range", id="second-root"),
+    pytest.param(_scale_root_dist(1.0 + 1e-7), "root distances off", id="root-dist-scaled"),
+    pytest.param(_scale_root_dist(math.nan), "root distances off", id="root-dist-nan"),
+    pytest.param(lambda t: t.xy.__setitem__((2, 0), t.xy[2, 0] + 1e-12), "does not carry",
+                 id="points-moved"),
+])
+def test_verify_tree_reports_each_fault(fault, message):
+    inst = generate("uniform", eps=1.0 / 16.0, n=30, seed=4)
+    tree = kry_slt(inst)
+    assert verify_tree(tree, inst) == []
+    fault(tree)
+    faults = verify_tree(tree, inst)
+    assert any(message in f for f in faults), faults
+
+
+def test_verify_tree_tolerates_rounding_in_root_dist():
+    inst = generate("uniform", eps=1.0 / 16.0, n=30, seed=4)
+    tree = kry_slt(inst)
+    tree.root_dist *= 1.0 + 1e-12
+    assert verify_tree(tree, inst) == []
 
 
 def test_root_stretch_known_detour():

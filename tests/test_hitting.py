@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shallowlight.hitting import (
-    StripRect,
     brute_force_min_hitting,
     hit_intervals_discrete,
     pierce_intervals,
@@ -113,9 +112,3 @@ def test_brute_force_guards_and_edges():
         brute_force_min_hitting([(0, 1)], candidates=list(range(16)))
     with pytest.raises(ValueError, match="no hitting set"):
         brute_force_min_hitting([(0, 1)], candidates=[5.0])
-
-
-def test_strip_rect_y_interval():
-    r = StripRect(x_lo=0.25, x_hi=0.5, y_lo=-0.1, y_hi=0.3, owner=4)
-    iv = r.y_interval()
-    assert (iv.lo, iv.hi) == (-0.1, 0.3)

@@ -8,6 +8,7 @@ import pytest
 
 from shallowlight.baselines import abp_slt, kry_slt
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
+from shallowlight.graphcore import verify_tree
 from shallowlight.instances import generate
 from shallowlight.oracles import (
     _MAX_BRUTE_N,
@@ -16,7 +17,7 @@ from shallowlight.oracles import (
     decode_prufer,
     steiner_lower_bound_certificate,
 )
-from helpers import check_tree_shape, exit_lower_bound, make_instance, tooth_regions
+from helpers import exit_lower_bound, make_instance, tooth_regions
 
 
 def _connected(n, edges):
@@ -98,7 +99,7 @@ def test_opt_prefers_chain_over_star_when_budget_allows():
     inst = make_instance([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], eps=0.04)
     w, tree = brute_force_opt_st(inst, 0.04)
     assert w == pytest.approx(2.0, rel=1e-12)  # chain; stretch is exactly 1
-    check_tree_shape(tree, inst)
+    assert verify_tree(tree, inst) == []
 
 
 def test_opt_respects_the_stretch_budget():
@@ -124,7 +125,7 @@ def test_opt_matches_edge_subset_enumeration():
         eps = float(rng.choice([0.02, 0.1, 0.5]))
         w, tree = brute_force_opt_st(inst, eps)
         assert w == pytest.approx(_opt_by_edge_subsets(inst, eps), rel=1e-12)
-        check_tree_shape(tree, inst)
+        assert verify_tree(tree, inst) == []
         assert tree.weight() == pytest.approx(w, rel=1e-12)
 
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from shallowlight.graphcore import KIND_SOURCE, KIND_STEINER, root_stretch
+from shallowlight.graphcore import KIND_SOURCE, KIND_STEINER, root_stretch, verify_tree
 from shallowlight.instances import generate
 from shallowlight.pipeline import MODES, build_slt
-from helpers import check_tree_shape, make_instance
+from helpers import make_instance
 
 
 def test_modes_tuple():
@@ -19,7 +19,7 @@ def test_modes_tuple():
 def test_build_shapes_and_report(mode):
     inst = generate("uniform", eps=1.0 / 32.0, n=300, seed=2)
     tree, rep = build_slt(inst, mode=mode)
-    check_tree_shape(tree, inst)
+    assert verify_tree(tree, inst) == []
     assert rep.mode == mode
     assert rep.eps == inst.eps
     assert rep.threads == 1
@@ -85,7 +85,7 @@ def test_two_point_instance():
     assert rep.max_stretch == pytest.approx(1.0, rel=1e-9)
     # the steiner route bends at ladder stops but keeps the budget
     tree, rep = build_slt(inst, mode="steiner")
-    check_tree_shape(tree, inst)
+    assert verify_tree(tree, inst) == []
     assert rep.max_stretch <= 1.0 + 50.0 * inst.eps * math.log2(1.0 / inst.eps)
 
 
@@ -93,7 +93,7 @@ def test_circle_instance_both_modes():
     inst = generate("circle", eps=1.0 / 32.0)
     for mode in MODES:
         tree, rep = build_slt(inst, mode=mode)
-        check_tree_shape(tree, inst)
+        assert verify_tree(tree, inst) == []
         assert rep.max_stretch <= 1.0 + 50.0 * inst.eps * math.log2(1.0 / inst.eps)
 
 

@@ -9,11 +9,9 @@ from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.hitting import brute_force_min_hitting
 from shallowlight.restricted import (
     LeveledPath,
-    candidate_path,
     level_rectangles,
     prune_path,
     restricted_tile_paths,
-    restricted_tile_tree,
 )
 from shallowlight.steiner import SOURCE_CANON, Ladder, ladder_depth, ladder_lines
 
@@ -76,26 +74,6 @@ def test_level_rectangles_none_beyond_ellipse():
     rects = level_rectangles((0.5, 0.0), eps, ladder=custom)
     assert rects[0] is not None and rects[1] is not None
     assert rects[2] is None
-
-
-def test_candidate_path_picks_lowest_available_index():
-    eps = 1.0 / 64.0
-    pts = np.array([
-        (0.5, 0.0),     # 0: net point; ladder lines at 0.53125, 0.625, 1.0
-        (0.55, 0.001),  # 1: inside B_0
-        (0.56, -0.002),  # 2: inside B_0 as well, higher index
-        (0.9, 0.002),   # 3: inside B_1
-    ])
-    path = candidate_path(0, pts, available=[1, 2, 3], eps=eps, source_id=4)
-    assert path.vertices == [0, 1, 3, 4]
-    assert path.levels == [0, 1]
-    # removing point 1 promotes the next-lowest index
-    path = candidate_path(0, pts, available=[2, 3], eps=eps, source_id=4)
-    assert path.vertices == [0, 2, 3, 4]
-    # empty boxes are skipped entirely
-    path = candidate_path(0, pts, available=[3], eps=eps, source_id=4)
-    assert path.vertices == [0, 3, 4]
-    assert path.levels == [1]
 
 
 def test_tile_paths_pinned_two_hop_example():
@@ -250,12 +228,3 @@ def test_tile_paths_error_cases():
         restricted_tile_paths([1], pts, 1.0 / 64.0)
     with pytest.raises(ValueError, match="source line"):
         restricted_tile_paths([0], [(2.5, 0.0)], 1.0 / 64.0)
-
-
-def test_tile_tree_matches_paths_graph():
-    eps = 4.0**-3
-    rng = np.random.default_rng(23)
-    pts, net = _random_tile(rng, 80, eps, 20)
-    g = restricted_tile_tree(net, pts, eps)
-    res = restricted_tile_paths(net, pts, eps)
-    assert np.array_equal(g.edges, res.graph.edges)

@@ -14,7 +14,6 @@ from shallowlight.steiner import (
     ladder_depth,
     ladder_lines,
     steiner_tile_paths,
-    steiner_tile_tree,
 )
 
 
@@ -33,7 +32,7 @@ def test_ladder_lines_known_indices():
     eps = 1.0 / 64.0
     lad = ladder_lines((0.5, 0.01), eps)
     assert lad.line_index == (34, 10)
-    assert lad.xs() == [34.0 / 64.0, 40.0 / 64.0]
+    assert [lad.x(i) for i in range(lad.levels)] == [34.0 / 64.0, 40.0 / 64.0]
     assert lad.x(1) == 0.625
     deep = ladder_lines((0.5, 0.01), eps, levels=4)
     assert deep.line_index == (34, 10, 4, 3)
@@ -46,7 +45,7 @@ def test_ladder_spacing_bounds():
     for eps in (4.0**-3, 4.0**-4, 4.0**-5, 0.01):
         for x in rng.uniform(0.0, 1.05, size=60):
             lad = ladder_lines((float(x), 0.0), eps, levels=5)
-            xs = lad.xs()
+            xs = [lad.x(i) for i in range(lad.levels)]
             assert xs[0] > x  # strictly right of the point
             for i in range(1, 5):
                 gap = xs[i] - xs[i - 1]
@@ -159,13 +158,3 @@ def test_tile_paths_empty_net():
     assert res.source_id == 0
     assert res.graph.n_vertices == 1
     assert res.graph.edges.shape[0] == 0
-
-
-def test_tile_tree_matches_paths_graph():
-    eps = 4.0**-3
-    rng = np.random.default_rng(11)
-    net = _canonical_net(rng, 12, eps)
-    g = steiner_tile_tree(net, eps)
-    res = steiner_tile_paths(net, eps)
-    assert np.array_equal(g.edges, res.graph.edges)
-    assert g.total_weight() == res.graph.total_weight()

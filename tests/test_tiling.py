@@ -51,6 +51,16 @@ def test_tile_of_total_and_matches_vectorized():
         assert isinstance(tid, TileId)
         assert (int(rings[i]), int(sectors[i])) == tid
 
+    # points built exactly on the sector rays, where rounding picks the side
+    params = TilingParams.for_eps(S, 1.0 / 64.0)
+    k = params.sides
+    radii = [2.0**i for i in range(-3, 3)] + [0.75, 1.5, 3.0]
+    on_rays = np.array([(r * math.cos(2.0 * math.pi * j / k), r * math.sin(2.0 * math.pi * j / k))
+                        for r in radii for j in range(k)])
+    rings, sectors = tiles_of(on_rays, params)
+    for p, ring, sector in zip(on_rays, rings, sectors):
+        assert tile_of(p, params) == (int(ring), int(sector))
+
 
 def test_tile_of_rejects_source_point():
     params = TilingParams.for_eps(S, 0.25)
