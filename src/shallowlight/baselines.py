@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, RootedTree, mst, root_distances
 
@@ -47,22 +49,14 @@ def _mst_adjacency(instance):
 
 def mst_rooted(instance) -> RootedTree:
     """The MST itself, oriented away from the source (lightness exactly 1)."""
-    adj, _ = _mst_adjacency(instance)
+    edges, _ = mst(instance.points)
     n = instance.n
     s = instance.source_index
-    parent = np.full(n, -1, dtype=np.int64)
-    dist = np.zeros(n, dtype=np.float64)
-    seen = [False] * n
-    seen[s] = True
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v, w in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                dist[v] = dist[u] + w
-                stack.append(v)
+    adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    # a tree has one path to the source, so the search order cannot change a parent
+    _, pred = breadth_first_order(adj, s, directed=False, return_predecessors=True)
+    parent = np.where(pred < 0, -1, pred).astype(np.int64)
+    dist = root_distances(parent, instance.points, s)
     return RootedTree(instance.points.copy(), _input_kinds(instance), s, parent, dist)
 
 

@@ -14,11 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# Relative tolerance for boundary membership: points constructed exactly on an
-# ellipse boundary (e.g. piercing points at interval endpoints) must test inside.
-CONTAINS_RTOL = 1e-12
-
-
 class Interval(NamedTuple):
     """Closed interval [lo, hi] with lo <= hi. Empty intervals are None, never lo > hi."""
 
@@ -61,12 +56,6 @@ def slope_proj_slack(a, b):
     slope = dy / dx
     proj = abs(dx)
     return slope, proj, d - proj
-
-
-def ellipse_contains(e: FocalEllipse, q) -> bool:
-    """Membership with relative tolerance: d-sum <= dist_sum * (1 + 1e-12)."""
-    s = math.dist(e.f1, q) + math.dist(e.f2, q)
-    return s <= e.dist_sum * (1.0 + CONTAINS_RTOL)
 
 
 def _axis_form(e: FocalEllipse):

@@ -8,8 +8,12 @@ edges over the input points (plus Steiner vertices) and the source; take the
 shortest-path tree from the source; finally drop Steiner vertices that serve
 no input point (degree-1 Steiner chains).
 
-Tiles are independent and may run on a thread pool; results are merged in
-sorted tile order, so the output is identical for any thread count.
+Each tile maps its route graph to global ids with one array, gid, in the
+graph's vertex order: the given points (the net in steiner mode, every tile
+point in restricted mode), the source, then -1 - slot for each Steiner vertex.
+Tiles are independent and may run on a thread pool; the merge takes them in
+sorted tile order, so the output is identical for any thread count, and turns
+slot t of a tile into vertex n + (Steiner vertices of earlier tiles) + t.
 """
 
 from __future__ import annotations
@@ -62,65 +66,41 @@ class BuildReport:
 @dataclass
 class _TileOut:
     stats: TileStats
-    point_edges: list[tuple[int, int]]  # global input/source ids
-    steiner_xy: list[tuple[float, float]]  # world coords, tile-local order
-    steiner_edges: list[tuple[int, int]]  # >= 0 global id, < 0 is -1-slot
+    edges: np.ndarray  # (e, 2): >= 0 global id, < 0 is -1 - Steiner slot
+    steiner_xy: np.ndarray  # (s, 2) world coords, slot order
 
 
 def _run_tile(tile_key, member_ids, instance, params, mode):
     world = instance.points[member_ids]
-    src = instance.source
     eps = instance.eps
-    cn = build_cnet(world, src, eps)
+    cn = build_cnet(world, instance.source, eps)
     frame = canonical_frame(TileId(*tile_key), params)
     canon = frame.to_canonical_many(world)
-    src_gid = instance.source_index
 
     # cluster spanners (both modes): net point + the points it covers
-    clusters: dict[int, list[int]] = {}
-    for i, pos in enumerate(cn.assignment.tolist()):
-        clusters.setdefault(pos, []).append(i)
-    point_edges: list[tuple[int, int]] = []
-    spanner_w = 0.0
-    for pos in range(len(cn.net)):
-        mem = clusters.get(pos, [])
-        for a, b in cluster_spanner(world[mem]):
-            u = int(member_ids[mem[a]])
-            v = int(member_ids[mem[b]])
-            point_edges.append((u, v))
-            spanner_w += float(np.hypot(*(instance.points[u] - instance.points[v])))
+    by_net = np.argsort(cn.assignment, kind="stable")
+    clusters = np.split(by_net, np.flatnonzero(np.diff(cn.assignment[by_net])) + 1)
+    spanner = member_ids[np.concatenate([
+        mem[np.asarray(cluster_spanner(world[mem]), dtype=np.int64).reshape(-1, 2)]
+        for mem in clusters
+    ])]
+    d = instance.points[spanner[:, 0]] - instance.points[spanner[:, 1]]
+    spanner_w = float(np.hypot(d[:, 0], d[:, 1]).sum())
 
-    steiner_xy: list[tuple[float, float]] = []
-    steiner_edges: list[tuple[int, int]] = []
     if mode == "steiner":
-        res = steiner_tile_paths(canon[cn.net], eps)
-        m = len(cn.net)
-        code = {}
-        for v in range(res.graph.n_vertices):
-            if v < m:
-                code[v] = int(member_ids[cn.net[v]])
-            elif v == res.source_id:
-                code[v] = src_gid
-            else:
-                code[v] = -1 - len(steiner_xy)
-                steiner_xy.append(frame.from_canonical(res.graph.xy[v]))
-        for u, v in res.graph.edges.tolist():
-            cu, cv = code[u], code[v]
-            if cu >= 0 and cv >= 0:
-                point_edges.append((cu, cv))
-            else:
-                steiner_edges.append((cu, cv))
+        given = cn.net
+        res = steiner_tile_paths(canon[given], eps)
     else:
+        given = np.arange(len(member_ids))
         res = restricted_tile_paths(cn.net, canon, eps)
-        nt = canon.shape[0]
-        for u, v in res.graph.edges.tolist():
-            gu = src_gid if u == nt else int(member_ids[u])
-            gv = src_gid if v == nt else int(member_ids[v])
-            point_edges.append((gu, gv))
+    g = res.graph
+    n_steiner = g.n_vertices - len(given) - 1
+    gid = np.concatenate([member_ids[given], [instance.source_index], -1 - np.arange(n_steiner)])
+    steiner_xy = frame.from_canonical_many(g.xy[len(given) + 1:])
 
-    path_w = res.graph.total_weight() / frame.scale  # canonical -> world units
+    path_w = g.total_weight() / frame.scale  # canonical -> world units
     stats = TileStats(tuple(tile_key), len(member_ids), len(cn.net), path_w, spanner_w)
-    return _TileOut(stats, point_edges, steiner_xy, steiner_edges)
+    return _TileOut(stats, np.concatenate([spanner, gid[g.edges]]), steiner_xy)
 
 
 def build_slt(instance, mode: str = "steiner", threads: int = 1):
@@ -156,23 +136,17 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
     else:
         outs = [_run_tile(key, ids, instance, params, mode) for key, ids in work]
 
-    # merge in tile order; Steiner ids are assigned sequentially across tiles
-    steiner_xy: list[tuple[float, float]] = []
-    edges: list[tuple[int, int]] = []
+    # merge in tile order; Steiner slots are numbered on across tiles from n
+    edges = []
+    base = n
     for out in outs:
-        base = n + len(steiner_xy)
-        steiner_xy.extend(out.steiner_xy)
-        edges.extend(out.point_edges)
-        edges.extend(
-            (base - 1 - u if u < 0 else u, base - 1 - v if v < 0 else v)
-            for u, v in out.steiner_edges
-        )
-
-    xy = np.vstack([instance.points, np.asarray(steiner_xy).reshape(-1, 2)])
+        edges.append(np.where(out.edges < 0, base - 1 - out.edges, out.edges))
+        base += out.steiner_xy.shape[0]
+    xy = np.vstack([instance.points, *(o.steiner_xy for o in outs)])
     kind = np.full(xy.shape[0], KIND_INPUT, dtype=np.int8)
     kind[instance.source_index] = KIND_SOURCE
     kind[n:] = KIND_STEINER
-    g = GeoGraph.build(xy, kind, edges)
+    g = GeoGraph.build(xy, kind, np.concatenate(edges))
     tree = shortest_path_tree(g, instance.source_index)
     tree = _prune_steiner_leaves(tree)
 
@@ -192,28 +166,21 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
 
 
 def _prune_steiner_leaves(tree: RootedTree) -> RootedTree:
-    """Iteratively remove Steiner leaves; input points and the source stay."""
-    m = tree.n_vertices
-    child_count = np.zeros(m, dtype=np.int64)
-    np.add.at(child_count, tree.parent[tree.parent >= 0], 1)
-    keep = np.ones(m, dtype=bool)
-    stack = [
-        v for v in range(m)
-        if tree.kind[v] == KIND_STEINER and child_count[v] == 0
-    ]
-    while stack:
-        v = stack.pop()
-        keep[v] = False
-        p = int(tree.parent[v])
-        child_count[p] -= 1
-        if child_count[p] == 0 and tree.kind[p] == KIND_STEINER and keep[p]:
-            stack.append(p)
-    if keep.all():
-        return tree
+    """Keep input points, the source and their ancestors; drop other Steiner vertices.
+
+    Ancestors are marked one tree level per round, so the rounds are bounded
+    by the longest Steiner chain (the ladder depth).
+    """
+    keep = tree.kind != KIND_STEINER
+    front = np.flatnonzero(keep)
+    while front.size:
+        up = tree.parent[front]
+        up = up[up >= 0]
+        front = np.unique(up[~keep[up]])
+        keep[front] = True
     new_id = np.cumsum(keep) - 1
-    parent = tree.parent[keep].copy()
-    pos = parent >= 0
-    parent[pos] = new_id[parent[pos]]
+    parent = tree.parent[keep]
+    parent = np.where(parent >= 0, new_id[parent], -1)
     return RootedTree(
         tree.xy[keep],
         tree.kind[keep],

@@ -116,12 +116,10 @@ def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
     vid: dict[tuple[float, float], int] = {q: i for i, q in enumerate(xy)}
     if len(vid) < m:
         raise ValueError("steiner_tile_paths: duplicate net points")
-    source_id = vid.get(SOURCE_CANON)
-    if source_id is None:
-        source_id = len(xy)
-        vid[SOURCE_CANON] = source_id
-        xy.append(SOURCE_CANON)
-        kind.append(KIND_SOURCE)
+    source_id = m  # net points lie left of x=2, so none is the source
+    vid[SOURCE_CANON] = source_id
+    xy.append(SOURCE_CANON)
+    kind.append(KIND_SOURCE)
 
     def vertex(q: tuple[float, float]) -> int:
         i = vid.get(q)

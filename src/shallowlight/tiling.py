@@ -64,19 +64,12 @@ class CanonicalFrame:
     scale: float  # sigma
 
     def to_canonical(self, q):
-        ex, ey = math.cos(self.rotation), math.sin(self.rotation)
-        vx = float(q[0]) - self.source[0]
-        vy = float(q[1]) - self.source[1]
-        return (
-            2.0 - self.scale * (vx * ex + vy * ey),
-            -self.scale * (-vx * ey + vy * ex),
-        )
+        """One point: a one-row call to to_canonical_many."""
+        return tuple(self.to_canonical_many(np.reshape(q, (1, 2)))[0].tolist())
 
     def from_canonical(self, q):
-        ex, ey = math.cos(self.rotation), math.sin(self.rotation)
-        a = (2.0 - float(q[0])) / self.scale
-        b = -float(q[1]) / self.scale
-        return (self.source[0] + a * ex - b * ey, self.source[1] + a * ey + b * ex)
+        """One point: a one-row call to from_canonical_many."""
+        return tuple(self.from_canonical_many(np.reshape(q, (1, 2)))[0].tolist())
 
     def to_canonical_many(self, qs: np.ndarray) -> np.ndarray:
         ex, ey = math.cos(self.rotation), math.sin(self.rotation)
@@ -84,6 +77,16 @@ class CanonicalFrame:
         out = np.empty_like(v)
         out[:, 0] = 2.0 - self.scale * (v[:, 0] * ex + v[:, 1] * ey)
         out[:, 1] = -self.scale * (-v[:, 0] * ey + v[:, 1] * ex)
+        return out
+
+    def from_canonical_many(self, qs: np.ndarray) -> np.ndarray:
+        ex, ey = math.cos(self.rotation), math.sin(self.rotation)
+        q = np.asarray(qs, dtype=np.float64)
+        a = (2.0 - q[:, 0]) / self.scale
+        b = -q[:, 1] / self.scale
+        out = np.empty_like(q)
+        out[:, 0] = self.source[0] + a * ex - b * ey
+        out[:, 1] = self.source[1] + a * ey + b * ex
         return out
 
 

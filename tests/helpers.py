@@ -6,7 +6,17 @@ import math
 
 import numpy as np
 
-from shallowlight import Instance
+from shallowlight.instances import Instance
+
+# Relative tolerance for boundary membership: points constructed exactly on an
+# ellipse boundary (e.g. piercing points at interval endpoints) must test inside.
+CONTAINS_RTOL = 1e-12
+
+
+def ellipse_contains(e, q) -> bool:
+    """Membership with relative tolerance: d-sum <= dist_sum * (1 + 1e-12)."""
+    s = math.dist(e.f1, q) + math.dist(e.f2, q)
+    return s <= e.dist_sum * (1.0 + CONTAINS_RTOL)
 
 
 def make_instance(points, eps, source_index=0) -> Instance:

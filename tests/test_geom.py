@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from shallowlight import (
+from shallowlight.geom import (
     FocalEllipse,
-    ellipse_contains,
     outer_horizontal_focus,
     sandwich_ellipse,
     slope_proj_slack,
     vertical_cross_section,
 )
-from shallowlight.geom import CONTAINS_RTOL
 
-from helpers import dist_sums, inner_horizontal_focus, sample_ellipse
+from helpers import CONTAINS_RTOL, dist_sums, ellipse_contains, inner_horizontal_focus, sample_ellipse
 
 
 def test_slope_proj_slack_known_segments():

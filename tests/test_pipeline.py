@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from shallowlight.cnet import build_cnet, cluster_spanner
 from shallowlight.graphcore import KIND_SOURCE, KIND_STEINER, root_stretch, verify_tree
 from shallowlight.instances import generate
 from shallowlight.pipeline import MODES, build_slt
+from shallowlight.tiling import TilingParams, tiles_of
 from helpers import make_instance
 
 
@@ -35,6 +37,27 @@ def test_build_shapes_and_report(mode):
     # smoke budget; the calibrated bound lives in the acceptance suite
     assert rep.max_stretch <= 1.0 + 50.0 * inst.eps * math.log2(1.0 / inst.eps)
     assert rep.n_steiner == int(np.sum(tree.kind == KIND_STEINER))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tile_stats_match_a_direct_recount(mode):
+    inst = generate("uniform", eps=1.0 / 32.0, n=1500, seed=3)
+    _, rep = build_slt(inst, mode=mode)
+    params = TilingParams.for_eps(inst.source, inst.eps)
+    others = np.flatnonzero(np.arange(inst.n) != inst.source_index)
+    rings, sectors = tiles_of(inst.points[others], params)
+    assert [t.tile for t in rep.tiles] == sorted(set(zip(rings.tolist(), sectors.tolist())))
+    for t in rep.tiles:
+        world = inst.points[others[(rings == t.tile[0]) & (sectors == t.tile[1])]]
+        cn = build_cnet(world, inst.source, inst.eps)
+        weight = 0.0
+        for pos in range(len(cn.net)):
+            cluster = world[cn.assignment == pos]
+            weight += sum(math.dist(cluster[a], cluster[b]) for a, b in cluster_spanner(cluster))
+        assert t.n_points == len(world)
+        assert t.net_size == len(cn.net)
+        assert t.spanner_weight == pytest.approx(weight, rel=1e-12, abs=0.0)
+    assert sum(t.spanner_weight > 0.0 for t in rep.tiles) >= len(rep.tiles) // 2
 
 
 def test_restricted_mode_adds_no_vertices():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shallowlight.geom import ellipse_contains, sandwich_ellipse, vertical_cross_section
+from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER
 from shallowlight.hitting import pierce_intervals
 from shallowlight.steiner import (
@@ -15,6 +15,8 @@ from shallowlight.steiner import (
     ladder_lines,
     steiner_tile_paths,
 )
+
+from helpers import ellipse_contains
 
 
 def test_ladder_depth_values_and_domain():

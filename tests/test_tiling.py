@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from shallowlight import (
+from shallowlight.geom import sandwich_ellipse, slope_proj_slack
+from shallowlight.tiling import (
     TileId,
     TilingParams,
     canonical_frame,
     polygon_sides,
-    sandwich_ellipse,
-    slope_proj_slack,
     tile_of,
     tiles_of,
 )
@@ -108,6 +107,19 @@ def test_canonical_frame_round_trip_and_bounds():
                     axis=1,
                 )
                 world = np.array([frame.from_canonical(q) for q in qs_c])
+                # the scalar forms are one-row calls of the array forms, so the
+                # two agree bit for bit, also on the tile's bounding rays
+                on_rays = np.array([
+                    (r * math.cos(2.0 * math.pi * j / k), r * math.sin(2.0 * math.pi * j / k))
+                    for j in (sector, sector + 1)
+                    for r in (2.0**ring, 1.5 * 2.0**ring)
+                ])
+                for qs, one, many in (
+                    (np.vstack([world, on_rays]), frame.to_canonical, frame.to_canonical_many),
+                    (np.vstack([qs_c, frame.to_canonical_many(on_rays)]),
+                     frame.from_canonical, frame.from_canonical_many),
+                ):
+                    assert np.array([one(q) for q in qs]).tobytes() == many(qs).tobytes()
                 # keep only points that really belong to this tile
                 keep = [
                     i
