@@ -18,6 +18,10 @@ CASES = {
     "comb": ("comb", 4.0**-4, None),
     "cnet-comb": ("cnet-comb", 4.0**-4, None),
     "sector-lb": ("sector-lb", 4.0**-4, None),
+    # deeper ladders: ladder_depth is 4 at 4^-5 and 5 at 4^-6
+    "cnet-comb-4^-5": ("cnet-comb", 4.0**-5, None),
+    "cnet-comb-4^-6": ("cnet-comb", 4.0**-6, None),
+    "circle-4^-5": ("circle", 4.0**-5, None),
 }
 
 GOLDEN = {
@@ -69,6 +73,42 @@ GOLDEN = {
         "fcfc9eb449f4f7cb7ff89941983d6a86c94a467140983aa5f0ba1cf9fabbeeb9",
     ("sector-lb", "mst"):
         "31cc3bb26e5fcb830fca5c35594b3a99d23dacceb5e9ff3662f67587e087ef22",
+    ("cnet-comb-4^-5", "steiner"):
+        "6d711ff9915d7097077d669cd2eb24706425e686733d0c8c4e406525af5a4e4b",
+    ("cnet-comb-4^-5", "restricted"):
+        "95bd2ec8c9719a432876f3b36c95df7e2552e89e16422c10cd59dd66a21ae850",
+    ("cnet-comb-4^-5", "kry"):
+        "e665d326ab47089a9e8fd5198d5f2b2184b4de7b241e663a87f32c4ec9c6b1e3",
+    ("cnet-comb-4^-5", "abp"):
+        "a8ce311b2272386c7fb14bd62ef8c4109c179cd0a6f61e383ac44ed41eb6e009",
+    ("cnet-comb-4^-5", "solomon"):
+        "08a5dabb0516e81a5667d1d2e563579f1bd183e9729b657045c52f81b57783fe",
+    ("cnet-comb-4^-5", "mst"):
+        "7462386f8d59f5d95bea27442adb0c76dd63c99961be6c6d7ae9a1842ec62582",
+    ("cnet-comb-4^-6", "steiner"):
+        "5a9893739aec39c8dd59f2665ca742c05b0603a0ddd99a943f6d7525dd9a0687",
+    ("cnet-comb-4^-6", "restricted"):
+        "68e8867bf771702f64c8d898ace7b4577e24aaf40bd261c76bb77619a8a7674a",
+    ("cnet-comb-4^-6", "kry"):
+        "9839bd1cb398bc03a9772da1a28f83087a892a29c416b6bc2aab13538477d926",
+    ("cnet-comb-4^-6", "abp"):
+        "aa9b300143027f87f7595d46d3b49f6bf8c7b3bbd9c9dad39da6391b92dccde0",
+    ("cnet-comb-4^-6", "solomon"):
+        "04795c8b6cee233f6287bd6fb894e98991525885dd261c76d9b5dfd006a2fb00",
+    ("cnet-comb-4^-6", "mst"):
+        "5e5e9f7b71a41499d2e8633426f0b6641f2bae9e4643135af6f2e1d806304a8d",
+    ("circle-4^-5", "steiner"):
+        "87e563aec476e4bb5026785c632a72c7722f5421ead87d0da4cfd9951f256215",
+    ("circle-4^-5", "restricted"):
+        "20b8982e13eff85c2bded7a7d78d00c0e62dd9dccc5a9c7d0fc0f66ad1520113",
+    ("circle-4^-5", "kry"):
+        "040a7950cb99e7703795d1367abdee9d5d5aab25b0a14d31323b5c82bff26367",
+    ("circle-4^-5", "abp"):
+        "69e07df0afde9ea56d69acf9a53fb23cf36af3eb9bf848cc5c8dfbd22d3def0e",
+    ("circle-4^-5", "solomon"):
+        "1c979f4677e42baca4eefc14844f64ed05e62d13ab65930f3ba81b395d5d6c3c",
+    ("circle-4^-5", "mst"):
+        "ed7f6ebdad6ba323b48f9d6036acd7ec680753c22e39de86732b778c42733d0e",
 }
 
 
