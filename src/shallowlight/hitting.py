@@ -3,15 +3,13 @@
 pierce_intervals is the classic right-endpoint sweep (optimal for closed
 intervals). hit_intervals_discrete restricts piercing points to a given
 candidate set and is used for the strip hitting sets of the non-Steiner tree
-builder. brute_force_min_hitting is the subset-enumeration oracle the tests
-compare both greedies against.
+builder.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -82,39 +80,3 @@ def hit_intervals_discrete(intervals, candidates) -> list[int]:
         chosen.append(cand[j][1])
         chosen_vals.append(vals[j])
     return chosen
-
-
-def brute_force_min_hitting(intervals, candidates=None) -> list[float]:
-    """Exhaustive minimum piercing/hitting oracle for <= 15 intervals.
-
-    With candidates=None the candidate pool is the right endpoints (an optimal
-    continuous piercing always exists there). Returns the values of one
-    minimum solution, ascending.
-    """
-    ivs = _check(intervals)
-    if len(ivs) > 15:
-        raise ValueError("brute_force_min_hitting: more than 15 intervals")
-    if candidates is None:
-        pool = sorted({hi for _, hi in ivs})
-    else:
-        if len(candidates) > 15:
-            raise ValueError("brute_force_min_hitting: more than 15 candidates")
-        pool = sorted(float(c) for c in candidates)
-    masks = []
-    for v in pool:
-        m = 0
-        for bit, (lo, hi) in enumerate(ivs):
-            if lo <= v <= hi:
-                m |= 1 << bit
-        masks.append(m)
-    full = (1 << len(ivs)) - 1
-    if full == 0:
-        return []
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(range(len(pool)), size):
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            if m == full:
-                return [pool[i] for i in combo]
-    raise ValueError("no hitting set exists within the candidate pool")

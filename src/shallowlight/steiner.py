@@ -10,19 +10,20 @@ right of p, then L_i(p) = second line of family i strictly right of
 L_{i-1}(p). Line positions are tracked as integer indices, which makes the
 spacing exactly (8 - (j mod 4)) * 4^{i-1} * eps, inside [4^i eps, 2 * 4^i eps].
 
-Each line carries the minimum piercing set of the cross-sections of its
-members' sandwich ellipses; p's path hops to the first piercing point inside
-its own cross-section on each ladder line, then to the source.
+`ladder_table` holds all ladders and sandwich-ellipse sections as arrays, and
+`line_groups` groups them by line. Each line carries the minimum piercing set
+of its members' cross-sections; p's path hops to the first piercing point
+inside its own cross-section on each ladder line, then to the source.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import FocalEllipse, sandwich_ellipse, vertical_cross_section
 from .graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, GeoGraph
 from .hitting import pierce_intervals
 
@@ -51,17 +52,61 @@ def ladder_depth(eps: float) -> int:
     return max(1, math.floor(math.log(1.0 / (16.0 * eps), 4.0)) + 1)
 
 
+def ladder_table(pts, eps: float, levels: int):
+    """Ladder lines and ellipse sections of every point, shape (m, levels) each.
+
+    Returns (line_index, x, y_lo, y_hi): row p, column i holds p's level-i line
+    and the y-range where it crosses `sandwich_ellipse(p, SOURCE_CANON, eps)`,
+    NaN where it misses. The outer focus lies on p's horizontal line, so the
+    focal distance is |dx| and each cell equals `vertical_cross_section` bit
+    for bit. Like `sandwich_ellipse`, it rejects |slope(p, source)| > sqrt(eps).
+    """
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise ValueError("ladder_table: non-finite point")
+    px, py = pts[:, :1], pts[:, 1:]
+    line_index = np.empty((pts.shape[0], levels), dtype=np.int64)
+    j = np.floor(px[:, 0] / eps).astype(np.int64) + 2
+    for i in range(levels):
+        line_index[:, i] = j
+        j = j // 4 + 2
+    x = line_index * (4.0 ** np.arange(levels) * eps)
+    bx = 2.0 * SOURCE_CANON[0] - px  # outer focus (bx, py)
+    xc = 0.5 * (px + bx)
+    a_semi = 0.5 * ((1.0 + 2.0 * eps) * np.abs(px - bx))
+    c = 0.5 * np.abs(bx - px)
+    b_semi = np.sqrt(np.maximum(a_semi * a_semi - c * c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.abs((SOURCE_CANON[1] - py) / (SOURCE_CANON[0] - px))
+        u = (x - xc) / a_semi
+        h = np.where(np.abs(u) > 1.0, np.nan, b_semi * np.sqrt(1.0 - u * u))
+    if not (slope <= math.sqrt(eps)).all():
+        raise ValueError(f"ladder_table: |slope| to the source > sqrt(eps)={math.sqrt(eps):.6g}")
+    return line_index, x, py - h, py + h
+
+
+def line_groups(line_index) -> list[tuple[int, int, list[int]]]:
+    """Table cells by line, ascending: (level, line index, member rows ascending)."""
+    m, levels = line_index.shape
+    level = np.repeat(np.arange(levels), m)
+    j = line_index.T.ravel()
+    order = np.lexsort((j, level))
+    if order.size == 0:
+        return []
+    cut = np.flatnonzero((np.diff(level[order]) != 0) | (np.diff(j[order]) != 0)) + 1
+    bounds = [0, *cut.tolist(), order.size]
+    starts, rows = order[bounds[:-1]], (order % m).tolist()
+    return list(zip(level[starts].tolist(), j[starts].tolist(),
+                    (rows[a:b] for a, b in zip(bounds, bounds[1:]))))
+
+
 def ladder_lines(p, eps: float, levels: int | None = None) -> Ladder:
-    """Ladder of p: second line of each family strictly right of the previous stop."""
+    """One `ladder_table` row: p's second line of each family strictly right of the last."""
     k = ladder_depth(eps) if levels is None else int(levels)
     if k < 1:
         raise ValueError("ladder_lines: levels must be >= 1")
-    j = math.floor(float(p[0]) / eps) + 2
-    idx = [j]
-    for _ in range(1, k):
-        j = j // 4 + 2
-        idx.append(j)
-    return Ladder(eps, tuple(idx))
+    line_index, _, _, _ = ladder_table([p], eps, k)
+    return Ladder(eps, tuple(line_index[0].tolist()))
 
 
 @dataclass
@@ -80,73 +125,41 @@ def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
     """Build the ladder-path union for net points in canonical coordinates."""
     pts = np.asarray(net, dtype=np.float64).reshape(-1, 2)
     m = pts.shape[0]
-    if not 0.0 < eps <= 1.0 / 16.0:
-        raise ValueError(f"steiner_tile_paths: eps={eps} outside (0, 1/16]")
+    k = ladder_depth(eps)  # rejects eps outside (0, 1/16]
     if np.any(pts[:, 0] >= 2.0):
         raise ValueError("steiner_tile_paths: net point at or beyond the source line x=2")
-    k = ladder_depth(eps)
-    ladders = [ladder_lines(pts[i], eps) for i in range(m)]
-    ellipses = [sandwich_ellipse(pts[i], SOURCE_CANON, eps) for i in range(m)]
+    line_index, x, y_lo, y_hi = ladder_table(pts, eps, k)
 
-    members: dict[tuple[int, int], list[int]] = {}
-    for i in range(m):
-        for lvl, j in enumerate(ladders[i].line_index):
-            members.setdefault((lvl, j), []).append(i)
-
+    # a member stops at its line's first pierce >= its y_lo (a NaN section raises)
     lines: dict[tuple[int, int], tuple[float, list[int], list[float]]] = {}
-    sections: dict[tuple[int, int], list] = {}
-    for key in sorted(members):
-        lvl, j = key
-        x = j * (4.0**lvl * eps)
-        ivs = []
-        for i in members[key]:
-            iv = vertical_cross_section(ellipses[i], x)
-            if iv is None:
-                raise ValueError(
-                    f"empty cross-section for net point {i} at its own ladder line x={x}"
-                )
-            ivs.append(iv)
-        lines[key] = (x, members[key], pierce_intervals(ivs))
-        sections[key] = ivs
-
-    # vertex registry: net points first, then the source, then Steiner points
-    # deduplicated by exact coordinates (within this tile only)
-    xy: list[tuple[float, float]] = [tuple(q) for q in pts]
-    kind: list[int] = [KIND_INPUT] * m
-    vid: dict[tuple[float, float], int] = {q: i for i, q in enumerate(xy)}
-    if len(vid) < m:
-        raise ValueError("steiner_tile_paths: duplicate net points")
-    source_id = m  # net points lie left of x=2, so none is the source
-    vid[SOURCE_CANON] = source_id
-    xy.append(SOURCE_CANON)
-    kind.append(KIND_SOURCE)
-
-    def vertex(q: tuple[float, float]) -> int:
-        i = vid.get(q)
-        if i is None:
-            i = len(xy)
-            vid[q] = i
-            xy.append(q)
-            kind.append(KIND_STEINER)
-        return i
-
-    paths: list[list[int]] = []
-    edges: list[tuple[int, int]] = []
-    for i in range(m):
-        path = [i]
-        for lvl, j in enumerate(ladders[i].line_index):
-            x, mem, pierce = lines[(lvl, j)]
-            lo, hi = sections[(lvl, j)][mem.index(i)]
-            y = next((h for h in pierce if lo <= h <= hi), None)
-            if y is None:
+    xs, los, his = x.T.tolist(), y_lo.T.tolist(), y_hi.T.tolist()  # [level][row]
+    stop_y = np.empty((k, m))
+    for lvl, j, rows in line_groups(line_index):
+        lo, hi = los[lvl], his[lvl]
+        pierce = pierce_intervals([(lo[r], hi[r]) for r in rows])
+        for r in rows:
+            y = pierce[min(bisect.bisect_left(pierce, lo[r]), len(pierce) - 1)]
+            if not lo[r] <= y <= hi[r]:
                 raise ValueError("piercing set misses a member interval")
-            v = vertex((x, y))
-            if v != path[-1]:  # collapse coincident consecutive stops
-                path.append(v)
-        if source_id != path[-1]:
-            path.append(source_id)
-        paths.append(path)
-        edges.extend((path[t], path[t + 1]) for t in range(len(path) - 1))
+            stop_y[lvl, r] = y
+        lines[(lvl, j)] = (xs[lvl][rows[0]], rows, pierce)
 
-    g = GeoGraph.build(np.asarray(xy), np.asarray(kind, dtype=np.int8), edges or np.empty((0, 2)))
+    # vertices by first use over [net, source, stops]; coordinates compare as
+    # numbers (adding 0.0 maps -0.0 to 0.0), so a stop on a net point reuses it
+    cand = np.vstack([pts, [SOURCE_CANON], np.column_stack([x.ravel(), stop_y.T.ravel()])])
+    _, first, inverse = np.unique(cand + 0.0, axis=0, return_index=True, return_inverse=True)
+    if np.count_nonzero(first < m) < m:
+        raise ValueError("steiner_tile_paths: duplicate net points")
+    by_use = np.argsort(first)
+    vid = np.argsort(by_use)[inverse.ravel()]
+    xy = cand[first[by_use]]
+    source_id = m  # net points lie left of x=2, so none is the source
+    kind = np.repeat(np.int8([KIND_INPUT, KIND_SOURCE, KIND_STEINER]), [m, 1, len(xy) - m - 1])
+
+    # path rows [p, stops..., source]; a vertex equal to the previous collapses
+    walk = np.column_stack([np.arange(m), vid[m + 1:].reshape(m, k), np.full(m, source_id)])
+    keep = np.diff(walk, axis=1, prepend=-1) != 0
+    paths = [row[kept].tolist() for row, kept in zip(walk, keep)]
+    edges = [e for path in paths for e in zip(path, path[1:])]
+    g = GeoGraph.build(xy, kind, edges)
     return SteinerTileResult(g, paths, source_id, k, lines)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
+from shallowlight.geom import sandwich_ellipse, vertical_cross_section
+from shallowlight.hitting import StripRect
 from shallowlight.instances import Instance
+from shallowlight.steiner import SOURCE_CANON, Ladder, ladder_depth, ladder_lines
 
 # Relative tolerance for boundary membership: points constructed exactly on an
 # ellipse boundary (e.g. piercing points at interval endpoints) must test inside.
@@ -21,6 +25,64 @@ def ellipse_contains(e, q) -> bool:
 
 def make_instance(points, eps, source_index=0) -> Instance:
     return Instance(np.asarray(points, dtype=np.float64), source_index, eps)
+
+
+def brute_force_min_hitting(intervals, candidates=None) -> list[float]:
+    """Exhaustive minimum piercing/hitting oracle for <= 15 intervals.
+
+    With candidates=None the candidate pool is the right endpoints (an optimal
+    continuous piercing always exists there). Returns the values of one
+    minimum solution, ascending.
+    """
+    ivs = [(float(lo), float(hi)) for lo, hi in intervals]
+    if any(not lo <= hi for lo, hi in ivs):
+        raise ValueError("malformed interval")
+    if len(ivs) > 15:
+        raise ValueError("brute_force_min_hitting: more than 15 intervals")
+    if candidates is None:
+        pool = sorted({hi for _, hi in ivs})
+    else:
+        if len(candidates) > 15:
+            raise ValueError("brute_force_min_hitting: more than 15 candidates")
+        pool = sorted(float(c) for c in candidates)
+    masks = []
+    for v in pool:
+        m = 0
+        for bit, (lo, hi) in enumerate(ivs):
+            if lo <= v <= hi:
+                m |= 1 << bit
+        masks.append(m)
+    full = (1 << len(ivs)) - 1
+    if full == 0:
+        return []
+    for size in range(1, len(pool) + 1):
+        for combo in combinations(range(len(pool)), size):
+            m = 0
+            for i in combo:
+                m |= masks[i]
+            if m == full:
+                return [pool[i] for i in combo]
+    raise ValueError("no hitting set exists within the candidate pool")
+
+
+def level_rectangles(p, eps: float, owner: int = -1,
+                     ladder: Ladder | None = None) -> list[StripRect | None]:
+    """Search boxes B_0..B_{k-1} of p: strip x-ranges, ellipse-section y-ranges.
+
+    The scalar reference for the boxes `restricted_tile_paths` reads from
+    `ladder_table`. A level whose right edge misses p's ellipse yields None
+    (empty box). That cannot happen for the builder's ladders, only for
+    custom ones.
+    """
+    if ladder is None:
+        ladder = ladder_lines(p, eps, levels=ladder_depth(eps) + 1)
+    e = sandwich_ellipse(p, SOURCE_CANON, eps)
+    out: list[StripRect | None] = []
+    for i in range(ladder.levels - 1):
+        x_lo, x_hi = ladder.x(i), ladder.x(i + 1)
+        iv = vertical_cross_section(e, x_hi)
+        out.append(None if iv is None else StripRect(x_lo, x_hi, iv.lo, iv.hi, owner))
+    return out
 
 
 def floyd_warshall(n: int, edges) -> np.ndarray:

@@ -21,17 +21,14 @@ from shallowlight.geom import (
     vertical_cross_section,
 )
 from shallowlight.graphcore import mst
-from shallowlight.hitting import (
-    brute_force_min_hitting,
-    hit_intervals_discrete,
-    pierce_intervals,
-)
+from shallowlight.hitting import hit_intervals_discrete, pierce_intervals
 from shallowlight.instances import generate
 from shallowlight.oracles import brute_force_opt_st, steiner_lower_bound_certificate
 from shallowlight.pipeline import build_slt
 from shallowlight import textio
 from shallowlight.tiling import TileId, TilingParams, canonical_frame, tile_of, tiles_of
 from helpers import (
+    brute_force_min_hitting,
     dist_sums,
     exit_lower_bound,
     inner_horizontal_focus,

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from shallowlight.hitting import (
-    brute_force_min_hitting,
-    hit_intervals_discrete,
-    pierce_intervals,
-)
+from shallowlight.hitting import hit_intervals_discrete, pierce_intervals
+
+from helpers import brute_force_min_hitting
 
 
 def _random_intervals(rng, n, span=10.0):

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
-from shallowlight.hitting import brute_force_min_hitting
-from shallowlight.restricted import (
-    LeveledPath,
-    level_rectangles,
-    prune_path,
-    restricted_tile_paths,
-)
+from shallowlight.restricted import LeveledPath, prune_path, restricted_tile_paths
 from shallowlight.steiner import SOURCE_CANON, Ladder, ladder_depth, ladder_lines
+
+from helpers import brute_force_min_hitting, level_rectangles
 
 
 def test_leveled_path_validation():
@@ -51,6 +47,27 @@ def test_prune_path_fixpoint_gap():
         assert all(v in list(it) or True for v in out.vertices)
         assert set(out.vertices) <= set(verts)
         assert out.vertices[0] == verts[0] and out.vertices[-1] == verts[-1]
+
+
+def _prune_to_fixpoint(levels):
+    # the rule prune_path implements in one pass: drop the second stop of the
+    # first adjacent-level pair, then start over until no pair is left
+    levels = list(levels)
+    while True:
+        t = next((t for t in range(len(levels) - 1) if levels[t + 1] - levels[t] == 1), None)
+        if t is None:
+            return levels
+        del levels[t + 1]
+
+
+def test_prune_path_one_pass_equals_fixpoint_on_every_level_set():
+    for mask in range(1 << 10):
+        levels = [i for i in range(10) if mask >> i & 1]
+        verts = [-1] + [100 + lvl for lvl in levels] + [-2]  # vertex id encodes its level
+        out = prune_path(LeveledPath(verts, levels))
+        want = _prune_to_fixpoint(levels)
+        assert out.levels == want
+        assert out.vertices == [-1] + [100 + lvl for lvl in want] + [-2]
 
 
 def test_level_rectangles_geometry():

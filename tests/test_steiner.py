@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER
@@ -13,6 +15,8 @@ from shallowlight.steiner import (
     Ladder,
     ladder_depth,
     ladder_lines,
+    ladder_table,
+    line_groups,
     steiner_tile_paths,
 )
 
@@ -57,6 +61,70 @@ def test_ladder_spacing_bounds():
                 assert gap == pytest.approx((8 - j % 4) * 4.0 ** (i - 1) * eps, rel=1e-12)
                 lo, hi = 4.0**i * eps, 2.0 * 4.0**i * eps
                 assert lo * (1 - 1e-12) <= gap <= hi * (1 + 1e-12)
+
+
+EPS_GRID = [4.0**-2, 4.0**-3, 4.0**-4, 4.0**-5, 4.0**-6, 0.01, 1.0 / 100.5]
+
+
+@st.composite
+def _table_points(draw):
+    """Points on exact line positions j * 4^i * eps, y at and around the slope bound."""
+    eps = draw(st.sampled_from(EPS_GRID))
+    pts = []
+    for _ in range(draw(st.integers(1, 12))):
+        step = 4.0 ** draw(st.integers(0, 3)) * eps
+        x = draw(st.integers(0, int(1.99 / step))) * step
+        bound = math.sqrt(eps) * (2.0 - x)
+        near = [bound * (1.0 - 2.0**-40), bound, bound * (1.0 + 2.0**-40)]
+        y = draw(st.sampled_from(near + [-b for b in near] + [0.0, -0.0])
+                 | st.floats(-bound, bound))
+        pts.append((x, y))
+    return eps, pts, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_points())
+@example((1.0 / 64.0, [(1.9, 0.0), (0.5, 0.0)], 3))  # (1.9, 0): level 2 misses
+def test_ladder_table_equals_scalar_reference(case):
+    # the table against geom's scalar path, cell by cell and bit for bit; the
+    # line indices follow the integer recurrence of the module docstring
+    eps, pts, levels = case
+    kept, ellipses = [], []
+    for p in pts:
+        try:
+            ellipses.append(sandwich_ellipse(p, SOURCE_CANON, eps))
+            kept.append(p)
+        except ValueError:  # slope above sqrt(eps): the table refuses it too
+            with pytest.raises(ValueError, match="slope"):
+                ladder_table([p], eps, levels)
+    line_index, x, y_lo, y_hi = ladder_table(kept, eps, levels)
+    assert line_index.shape == x.shape == y_lo.shape == y_hi.shape == (len(kept), levels)
+    for r, (p, e) in enumerate(zip(kept, ellipses)):
+        j = math.floor(p[0] / eps) + 2
+        for i in range(levels):
+            xi = j * (4.0**i * eps)
+            assert line_index[r, i] == j
+            assert float(x[r, i]).hex() == xi.hex()
+            iv = vertical_cross_section(e, xi)
+            if iv is None:
+                assert np.isnan(y_lo[r, i]) and np.isnan(y_hi[r, i])
+            else:
+                assert float(y_lo[r, i]).hex() == iv.lo.hex()
+                assert float(y_hi[r, i]).hex() == iv.hi.hex()
+            j = j // 4 + 2
+
+
+def test_line_groups_match_a_dict_grouping():
+    rng = np.random.default_rng(2)
+    for m, levels in ((0, 3), (1, 1), (7, 2), (60, 4)):
+        line_index = rng.integers(0, 5, size=(m, levels))
+        want = {}
+        for r in range(m):
+            for lvl in range(levels):
+                want.setdefault((lvl, int(line_index[r, lvl])), []).append(r)
+        got = line_groups(line_index)
+        assert [(lvl, j) for lvl, j, _ in got] == sorted(want)
+        assert all(rows == want[(lvl, j)] for lvl, j, rows in got)
 
 
 def _canonical_net(rng, m, eps):
