@@ -23,6 +23,9 @@ from .pipeline import MODES, build_slt
 from .render import write_svg
 
 BUILD_ALGOS = ("steiner", "restricted", "kry", "abp", "solomon", "mst")
+THREADS_HELP = ("worker processes that route tiles for steiner and restricted "
+                "(default 1); forked, capped at the tile count and the usable "
+                "cores; the tree is the same for any value")
 
 _BASELINE = {
     "kry": baselines.kry_slt,
@@ -139,7 +142,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--algo", required=True, choices=BUILD_ALGOS)
     b.add_argument("-i", "--input", required=True)
     b.add_argument("-o", "--output", required=True)
-    b.add_argument("--threads", type=int, default=1)
+    b.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     b.set_defaults(fn=_cmd_build)
 
     v = sub.add_parser("verify", help="check a tree against its instance")
@@ -159,7 +162,7 @@ def _parser() -> argparse.ArgumentParser:
     be.add_argument("--n", type=int, default=None)
     be.add_argument("--k", type=int, default=None)
     be.add_argument("--delta", type=float, default=None)
-    be.add_argument("--threads", type=int, default=1)
+    be.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     be.add_argument("-o", "--output", required=True)
     be.set_defaults(fn=_cmd_bench)
 

@@ -9,8 +9,8 @@ construction on a k-nearest-neighbor candidate graph (k=16, doubled until the
 candidate graph is connected), which the tests validate against the dense
 version. shortest_path_tree takes distances from scipy's Dijkstra and gives
 each vertex the lowest-id neighbor u with dist[u] + w(u, v) == dist[v] as its
-parent. root_distances sums edge lengths along parent chains, and verify_tree
-checks a tree's structure against its instance.
+parent. root_distances sums edge lengths along parent chains in level order,
+and verify_tree checks a tree's structure against its instance.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order as _scipy_bfs_order
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 from scipy.spatial import cKDTree
@@ -199,24 +200,31 @@ def shortest_path_tree(g: GeoGraph, root: int) -> RootedTree:
 def root_distances(parent, xy, root: int) -> np.ndarray:
     """Edge-length sums along parent chains; ValueError if a chain has a cycle.
 
-    Parents must be in range; the root's parent is never followed.
+    Vertices are visited in level order from the root (scipy's breadth-first
+    order over the parent -> child edges), and each adds its edge length to
+    its parent's finished sum, so every sum is added in chain order. Edge
+    lengths are math.hypot of the coordinate differences, which is what
+    math.dist computes; np.hypot rounds some of them differently. Parents
+    must be in range; the root's parent is never followed.
     """
-    m = len(parent)
-    dist = np.full(m, -1.0)
-    dist[root] = 0.0
-    for v in range(m):
-        chain = []
-        u = v
-        while dist[u] < 0.0:
-            chain.append(u)
-            u = parent[u]
-            if len(chain) > m:
-                raise ValueError(f"parent chain of vertex {v} has a cycle")
-        acc = dist[u]
-        for w in reversed(chain):
-            acc += math.dist(xy[w], xy[parent[w]])
-            dist[w] = acc
-    return dist
+    parent = np.asarray(parent, dtype=np.int64)
+    xy = np.asarray(xy, dtype=np.float64)
+    m = parent.shape[0]
+    child = np.flatnonzero(np.arange(m) != root)
+    down = csr_matrix((np.ones(child.size), (parent[child], child)), shape=(m, m))
+    order = _scipy_bfs_order(down, root, return_predecessors=False)
+    if order.size < m:
+        reached = np.zeros(m, dtype=bool)
+        reached[order] = True
+        v = int(np.flatnonzero(~reached)[0])
+        raise ValueError(f"parent chain of vertex {v} has a cycle")
+    d = xy - xy[parent]
+    length = list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()))
+    up = parent.tolist()
+    dist = [0.0] * m
+    for v in order[1:].tolist():
+        dist[v] = dist[up[v]] + length[v]
+    return np.array(dist)
 
 
 def verify_tree(tree: RootedTree, instance) -> list[str]:

@@ -8,18 +8,25 @@ edges over the input points (plus Steiner vertices) and the source; take the
 shortest-path tree from the source; finally drop Steiner vertices that serve
 no input point (degree-1 Steiner chains).
 
-Each tile maps its route graph to global ids with one array, gid, in the
-graph's vertex order: the given points (the net in steiner mode, every tile
-point in restricted mode), the source, then -1 - slot for each Steiner vertex.
-Tiles are independent and may run on a thread pool; the merge takes them in
-sorted tile order, so the output is identical for any thread count, and turns
-slot t of a tile into vertex n + (Steiner vertices of earlier tiles) + t.
+A tile is routed from plain data (its key, point coordinates, the source,
+eps, the tiling and the mode) and returns local vertex ids: 0..m-1 for its
+m points, m for the source and -1 - slot for its Steiner vertices. With
+threads > 1, tiles run on worker processes forked from the caller, at most
+one per tile and per usable core. They run in this process when that leaves
+one worker, when the tiles other than the largest hold fewer than
+POOL_MIN_POINTS points (too little work to pay for the fork), when the
+platform has no fork, or when the caller runs other threads (a lock held by
+one of those would stay held in a forked worker). The merge takes tiles in
+sorted tile order and turns slot t of a tile into vertex
+n + (Steiner vertices of earlier tiles) + t, so the output is identical for
+any thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,13 @@ from .steiner import steiner_tile_paths
 from .tiling import TileId, TilingParams, canonical_frame, tiles_of
 
 MODES = ("steiner", "restricted")
+
+# A pool added 15-30 ms to a build on a 2-core x86 box, and after a fork the
+# caller takes a write fault on each page it touches again: serial builds of
+# 5k points that followed a pooled one ran 11-14% slower. A pool ends no
+# sooner than its largest tile, so it pays only when the other tiles hold
+# about this many points (a point took 25-130 us to build).
+POOL_MIN_POINTS = 1500
 
 
 @dataclass
@@ -66,41 +80,64 @@ class BuildReport:
 @dataclass
 class _TileOut:
     stats: TileStats
-    edges: np.ndarray  # (e, 2): >= 0 global id, < 0 is -1 - Steiner slot
+    edges: np.ndarray  # (e, 2) local ids: points, the source, -1 - Steiner slot
     steiner_xy: np.ndarray  # (s, 2) world coords, slot order
 
 
-def _run_tile(tile_key, member_ids, instance, params, mode):
-    world = instance.points[member_ids]
-    eps = instance.eps
-    cn = build_cnet(world, instance.source, eps)
+def _run_tile(tile_key, world, source, eps, params, mode):
+    """Route one tile's points `world`; edges use the tile's local vertex ids."""
+    m = len(world)
+    cn = build_cnet(world, source, eps)
     frame = canonical_frame(TileId(*tile_key), params)
     canon = frame.to_canonical_many(world)
 
     # cluster spanners (both modes): net point + the points it covers
     by_net = np.argsort(cn.assignment, kind="stable")
     clusters = np.split(by_net, np.flatnonzero(np.diff(cn.assignment[by_net])) + 1)
-    spanner = member_ids[np.concatenate([
+    spanner = np.concatenate([
         mem[np.asarray(cluster_spanner(world[mem]), dtype=np.int64).reshape(-1, 2)]
         for mem in clusters
-    ])]
-    d = instance.points[spanner[:, 0]] - instance.points[spanner[:, 1]]
+    ])
+    d = world[spanner[:, 0]] - world[spanner[:, 1]]
     spanner_w = float(np.hypot(d[:, 0], d[:, 1]).sum())
 
     if mode == "steiner":
         given = cn.net
         res = steiner_tile_paths(canon[given], eps)
     else:
-        given = np.arange(len(member_ids))
+        given = np.arange(m)
         res = restricted_tile_paths(cn.net, canon, eps)
     g = res.graph
     n_steiner = g.n_vertices - len(given) - 1
-    gid = np.concatenate([member_ids[given], [instance.source_index], -1 - np.arange(n_steiner)])
+    local = np.concatenate([given, [m], -1 - np.arange(n_steiner)])
     steiner_xy = frame.from_canonical_many(g.xy[len(given) + 1:])
 
     path_w = g.total_weight() / frame.scale  # canonical -> world units
-    stats = TileStats(tuple(tile_key), len(member_ids), len(cn.net), path_w, spanner_w)
-    return _TileOut(stats, np.concatenate([spanner, gid[g.edges]]), steiner_xy)
+    stats = TileStats(tuple(tile_key), m, len(cn.net), path_w, spanner_w)
+    return _TileOut(stats, np.concatenate([spanner, local[g.edges]]), steiner_xy)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _route_tiles(tasks, threads: int) -> list[_TileOut]:
+    """_run_tile over tasks, in order: on forked worker processes when more than one pays."""
+    workers = min(threads, len(tasks), _usable_cores())
+    sizes = [len(world) for _, world, *_ in tasks]
+    if (workers <= 1 or sum(sizes) - max(sizes) < POOL_MIN_POINTS
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        return [_run_tile(*t) for t in tasks]
+    # imported here: the process pool takes 4-7 ms to import, which serial
+    # builds need not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, len(tasks) // (4 * workers))  # small tiles share a round trip
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+        return list(ex.map(_run_tile, *zip(*tasks), chunksize=chunk))
 
 
 def build_slt(instance, mode: str = "steiner", threads: int = 1):
@@ -108,9 +145,18 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
 
     The first n tree vertices are the instance points in input order; any
     surviving Steiner vertices follow. The tree root is the source.
+
+    threads is the most worker processes that route tiles at once (an int
+    >= 1). A build uses at most one per tile and per usable core and forks
+    them from this process. It routes in this process when that leaves one
+    worker, when the tiles other than the largest hold fewer than
+    POOL_MIN_POINTS points, when the platform has no fork, or when this
+    process runs other threads. The tree is identical for any value.
     """
     if mode not in MODES:
         raise ValueError(f"build_slt: unknown mode {mode!r}")
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"build_slt: threads={threads!r} must be an int >= 1")
     eps = instance.eps
     if not 0.0 < eps <= 1.0 / 16.0:
         raise ValueError(f"build_slt: eps={eps} outside (0, 1/16]")
@@ -125,23 +171,21 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
     order = np.lexsort((others, sectors, rings))
     rr, ss, oo = rings[order], sectors[order], others[order]
     cuts = np.flatnonzero((np.diff(rr) != 0) | (np.diff(ss) != 0)) + 1
-    groups = np.split(np.arange(oo.shape[0]), cuts)
-    work = [((int(rr[g[0]]), int(ss[g[0]])), oo[g]) for g in groups]
+    members = np.split(oo, cuts)
+    keys = [(int(rr[c]), int(ss[c])) for c in (0, *cuts.tolist())]
+    outs = _route_tiles([(key, instance.points[ids], instance.source, eps, params, mode)
+                         for key, ids in zip(keys, members)], threads)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outs = list(
-                ex.map(lambda w: _run_tile(w[0], w[1], instance, params, mode), work)
-            )
-    else:
-        outs = [_run_tile(key, ids, instance, params, mode) for key, ids in work]
-
-    # merge in tile order; Steiner slots are numbered on across tiles from n
+    # merge in tile order; local ids go global through one map per tile:
+    # the tile's points, the source, then its Steiner vertices numbered on
+    # across tiles from n, reversed so that index -1 - slot picks slot
     edges = []
     base = n
-    for out in outs:
-        edges.append(np.where(out.edges < 0, base - 1 - out.edges, out.edges))
-        base += out.steiner_xy.shape[0]
+    for ids, out in zip(members, outs):
+        n_steiner = out.steiner_xy.shape[0]
+        gid = np.concatenate([ids, [instance.source_index], base + np.arange(n_steiner)[::-1]])
+        edges.append(gid[out.edges])
+        base += n_steiner
     xy = np.vstack([instance.points, *(o.steiner_xy for o in outs)])
     kind = np.full(xy.shape[0], KIND_INPUT, dtype=np.int8)
     kind[instance.source_index] = KIND_SOURCE

@@ -30,21 +30,6 @@ from .hitting import pierce_intervals
 SOURCE_CANON = (2.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """Ladder lines of one point: line i sits at x = line_index[i] * 4^i * eps."""
-
-    eps: float
-    line_index: tuple[int, ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.line_index)
-
-    def x(self, i: int) -> float:
-        return self.line_index[i] * (4.0**i * self.eps)
-
-
 def ladder_depth(eps: float) -> int:
     """Number of ladder levels: max(1, floor(log4(1/(16 eps))) + 1)."""
     if not 0.0 < eps <= 1.0 / 16.0:
@@ -98,15 +83,6 @@ def line_groups(line_index) -> list[tuple[int, int, list[int]]]:
     starts, rows = order[bounds[:-1]], (order % m).tolist()
     return list(zip(level[starts].tolist(), j[starts].tolist(),
                     (rows[a:b] for a, b in zip(bounds, bounds[1:]))))
-
-
-def ladder_lines(p, eps: float, levels: int | None = None) -> Ladder:
-    """One `ladder_table` row: p's second line of each family strictly right of the last."""
-    k = ladder_depth(eps) if levels is None else int(levels)
-    if k < 1:
-        raise ValueError("ladder_lines: levels must be >= 1")
-    line_index, _, _, _ = ladder_table([p], eps, k)
-    return Ladder(eps, tuple(line_index[0].tolist()))
 
 
 @dataclass

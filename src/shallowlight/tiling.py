@@ -63,14 +63,6 @@ class CanonicalFrame:
     rotation: float  # angle of the face normal e, radians
     scale: float  # sigma
 
-    def to_canonical(self, q):
-        """One point: a one-row call to to_canonical_many."""
-        return tuple(self.to_canonical_many(np.reshape(q, (1, 2)))[0].tolist())
-
-    def from_canonical(self, q):
-        """One point: a one-row call to from_canonical_many."""
-        return tuple(self.from_canonical_many(np.reshape(q, (1, 2)))[0].tolist())
-
     def to_canonical_many(self, qs: np.ndarray) -> np.ndarray:
         ex, ey = math.cos(self.rotation), math.sin(self.rotation)
         v = np.asarray(qs, dtype=np.float64) - np.array(self.source)
@@ -100,13 +92,6 @@ def polygon_sides(eps: float) -> int:
     while 2.0 * math.tan(math.pi / k) >= target:  # guard against float rounding
         k += 1
     return k
-
-
-def tile_of(p, params: TilingParams) -> TileId:
-    """Tile containing p: a one-row call to tiles_of, so its rounding on the
-    sector rays, sector = floor(phi * (k / 2pi)), is exactly the pipeline's."""
-    rings, sectors = tiles_of(np.asarray(p, dtype=np.float64).reshape(1, 2), params)
-    return TileId(rings[0], sectors[0])
 
 
 def tiles_of(points: np.ndarray, params: TilingParams):

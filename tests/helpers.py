@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,8 @@ import numpy as np
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.hitting import StripRect
 from shallowlight.instances import Instance
-from shallowlight.steiner import SOURCE_CANON, Ladder, ladder_depth, ladder_lines
+from shallowlight.steiner import SOURCE_CANON, ladder_depth, ladder_table
+from shallowlight.tiling import TileId, tiles_of
 
 # Relative tolerance for boundary membership: points constructed exactly on an
 # ellipse boundary (e.g. piercing points at interval endpoints) must test inside.
@@ -63,6 +65,68 @@ def brute_force_min_hitting(intervals, candidates=None) -> list[float]:
             if m == full:
                 return [pool[i] for i in combo]
     raise ValueError("no hitting set exists within the candidate pool")
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """Ladder lines of one point: line i sits at x = line_index[i] * 4^i * eps."""
+
+    eps: float
+    line_index: tuple[int, ...]
+
+    @property
+    def levels(self) -> int:
+        return len(self.line_index)
+
+    def x(self, i: int) -> float:
+        return self.line_index[i] * (4.0**i * self.eps)
+
+
+def ladder_lines(p, eps: float, levels: int | None = None) -> Ladder:
+    """One `ladder_table` row: p's second line of each family strictly right of the last."""
+    k = ladder_depth(eps) if levels is None else int(levels)
+    if k < 1:
+        raise ValueError("ladder_lines: levels must be >= 1")
+    line_index, _, _, _ = ladder_table([p], eps, k)
+    return Ladder(eps, tuple(line_index[0].tolist()))
+
+
+def tile_of(p, params) -> TileId:
+    """Tile containing p: a one-row call to tiles_of, so its rounding on the
+    sector rays, sector = floor(phi * (k / 2pi)), is exactly the pipeline's."""
+    rings, sectors = tiles_of(np.asarray(p, dtype=np.float64).reshape(1, 2), params)
+    return TileId(rings[0], sectors[0])
+
+
+def to_canonical(frame, q):
+    """One point into a tile's canonical frame: a one-row to_canonical_many."""
+    return tuple(frame.to_canonical_many(np.reshape(q, (1, 2)))[0].tolist())
+
+
+def from_canonical(frame, q):
+    """One point out of a tile's canonical frame: a one-row from_canonical_many."""
+    return tuple(frame.from_canonical_many(np.reshape(q, (1, 2)))[0].tolist())
+
+
+def chain_root_distances(parent, xy, root: int) -> np.ndarray:
+    """Scalar reference for graphcore.root_distances: walk each parent chain
+    up to a known sum, then add math.dist edge lengths back down."""
+    m = len(parent)
+    dist = np.full(m, -1.0)
+    dist[root] = 0.0
+    for v in range(m):
+        chain = []
+        u = v
+        while dist[u] < 0.0:
+            chain.append(u)
+            u = parent[u]
+            if len(chain) > m:
+                raise ValueError(f"parent chain of vertex {v} has a cycle")
+        acc = dist[u]
+        for w in reversed(chain):
+            acc += math.dist(xy[w], xy[parent[w]])
+            dist[w] = acc
+    return dist
 
 
 def level_rectangles(p, eps: float, owner: int = -1,

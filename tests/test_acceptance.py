@@ -26,14 +26,16 @@ from shallowlight.instances import generate
 from shallowlight.oracles import brute_force_opt_st, steiner_lower_bound_certificate
 from shallowlight.pipeline import build_slt
 from shallowlight import textio
-from shallowlight.tiling import TileId, TilingParams, canonical_frame, tile_of, tiles_of
+from shallowlight.tiling import TileId, TilingParams, canonical_frame, tiles_of
 from helpers import (
     brute_force_min_hitting,
     dist_sums,
     exit_lower_bound,
+    from_canonical,
     inner_horizontal_focus,
     loglog_slope,
     sample_ellipse,
+    tile_of,
     tooth_regions,
 )
 
@@ -354,7 +356,7 @@ def _sample_tile_points(frame, tile, params, eps, count, rng):
     while len(out) < count:
         x = rng.uniform(0.01, 1.0)
         y = rng.uniform(-1.0, 1.0) * math.sqrt(eps)
-        if tile_of(frame.from_canonical((x, y)), params) == tile:
+        if tile_of(from_canonical(frame, (x, y)), params) == tile:
             out.append((x, y))
     return out
 
@@ -393,7 +395,7 @@ def test_reachable_region_tile_overlap_bounded():
                 )
                 for q in canon[:5]:
                     assert np.allclose(
-                        frame.from_canonical(q), world[np.all(canon == q, axis=1)][0]
+                        from_canonical(frame, q), world[np.all(canon == q, axis=1)][0]
                     )
 
                 rings, sectors = tiles_of(world, params)

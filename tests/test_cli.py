@@ -125,6 +125,17 @@ def test_domain_error_exits_2(tmp_path, capsys):
     assert "slt gen:" in capsys.readouterr().err
 
 
+def test_build_rejects_threads_below_one(tmp_path, capsys):
+    inst_p = tmp_path / "u.inst"
+    assert main(["gen", "--kind", "uniform", "--epsilon", "0.03125",
+                 "--n", "40", "--seed", "2", "-o", str(inst_p)]) == 0
+    rc = main(["build", "--algo", "steiner", "-i", str(inst_p),
+               "-o", str(tmp_path / "u.tree"), "--threads", "0"])
+    assert rc == 2
+    assert "slt build: build_slt: threads=0 must be an int >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "u.tree").exists()
+
+
 def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["gen", "--kind", "hexgrid", "--epsilon", "0.1",

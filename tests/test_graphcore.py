@@ -23,9 +23,10 @@ from shallowlight.graphcore import (
     shortest_path_tree,
     verify_tree,
 )
+from shallowlight import baselines
 from shallowlight.baselines import kry_slt
 from shallowlight.instances import generate
-from helpers import floyd_warshall, make_instance
+from helpers import chain_root_distances, floyd_warshall, make_instance
 
 
 def _scipy_mst_weight(xy):
@@ -190,6 +191,29 @@ def test_root_distances_sums_chain_edges_and_rejects_cycles():
     assert root_distances(np.array([-1, 2, 0, 1]), xy, 0).tolist() == [0.0, 7.0, 3.0, 10.0]
     with pytest.raises(ValueError, match="cycle"):
         root_distances(np.array([-1, 3, 0, 1]), xy, 0)
+
+
+def test_root_distances_equal_the_chain_walk_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = []
+    for m in (1, 2, 50, 3000):
+        xy = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 6, size=(m, 1))
+        root = int(rng.integers(m))
+        rank = rng.permutation(m)  # the root gets rank 0
+        rank[[root, int(np.argmin(rank))]] = rank[[int(np.argmin(rank)), root]]
+        by_rank = np.argsort(rank)
+        deep = np.concatenate([[-1], by_rank[:-1]])[rank]  # one path, m levels
+        bushy = by_rank[rng.integers(0, np.maximum(rank, 1))]  # any lower rank
+        bushy[root] = -1
+        cases += [(deep, xy, root), (bushy, xy, root)]
+    for name in ("kry_slt", "abp_slt", "solomon_slt", "mst_rooted"):
+        for inst in (generate("uniform", eps=1.0 / 64.0, n=800, seed=2),
+                     generate("comb", eps=4.0**-4)):
+            t = getattr(baselines, name)(inst)
+            cases.append((t.parent, t.xy, t.root))
+    for parent, xy, root in cases:
+        want = chain_root_distances(parent, xy, root)
+        assert root_distances(parent, xy, root).tobytes() == want.tobytes()
 
 
 def _break_wrong_root(t):

@@ -1,16 +1,21 @@
 """Full tree construction: tiling, per-tile routing, merge, prune, report."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
+from shallowlight import pipeline
 from shallowlight.cnet import build_cnet, cluster_spanner
 from shallowlight.graphcore import KIND_SOURCE, KIND_STEINER, root_stretch, verify_tree
 from shallowlight.instances import generate
 from shallowlight.pipeline import MODES, build_slt
 from shallowlight.tiling import TilingParams, tiles_of
 from helpers import make_instance
+from test_golden import CASES as GOLDEN_CASES
 
 
 def test_modes_tuple():
@@ -77,19 +82,109 @@ def test_steiner_mode_prunes_dangling_steiner_chains():
     assert np.all(child_count[steiner] >= 1)
 
 
+def _tree_bytes(tree):
+    return b"".join(np.asarray(a).tobytes() for a in
+                    (tree.xy, tree.kind, tree.parent, tree.root_dist, tree.root))
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_thread_count_does_not_change_the_tree(mode):
+def test_thread_count_does_not_change_the_tree(monkeypatch, mode):
+    monkeypatch.setattr(pipeline, "POOL_MIN_POINTS", 0)  # pool every build
+    insts = [generate("uniform", eps=1.0 / 32.0, n=500, seed=6)]
+    insts += [generate(kind, eps=eps, n=n, seed=0) for kind, eps, n in GOLDEN_CASES.values()]
+    for inst in insts:
+        t1, r1 = build_slt(inst, mode=mode, threads=1)
+        for threads in (2, 8):
+            tn, rn = build_slt(inst, mode=mode, threads=threads)
+            assert _tree_bytes(tn) == _tree_bytes(t1)
+            assert rn.tree_weight == r1.tree_weight
+            assert rn.union_graph_weight == r1.union_graph_weight
+            assert rn.tiles == r1.tiles
+            assert rn.threads == threads
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """Swap ProcessPoolExecutor for an in-process stand-in; the list of max_workers it got."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
+@pytest.mark.parametrize("cores", [None, 1, 3, 10_000])
+def test_workers_are_capped_at_tiles_and_usable_cores(monkeypatch, asked, cores):
+    monkeypatch.setattr(pipeline, "POOL_MIN_POINTS", 0)
+    if cores is not None:
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
+    usable = pipeline._usable_cores()
     inst = generate("uniform", eps=1.0 / 32.0, n=500, seed=6)
-    t1, r1 = build_slt(inst, mode=mode, threads=1)
-    t4, r4 = build_slt(inst, mode=mode, threads=4)
-    assert np.array_equal(t1.xy, t4.xy)
-    assert np.array_equal(t1.parent, t4.parent)
-    assert np.array_equal(t1.kind, t4.kind)
-    assert np.array_equal(t1.root_dist, t4.root_dist)
-    assert r1.tree_weight == r4.tree_weight
-    assert r1.union_graph_weight == r4.union_graph_weight
-    assert [t.tile for t in r1.tiles] == [t.tile for t in r4.tiles]
-    assert r4.threads == 4
+    tree, rep = build_slt(inst, threads=10_000)
+    want = min(len(rep.tiles), usable)
+    assert len(rep.tiles) > 3
+    assert asked == ([want] if want > 1 else [])
+    assert _tree_bytes(tree) == _tree_bytes(build_slt(inst, threads=1)[0])
+
+
+def test_small_builds_route_in_process(monkeypatch, asked):
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 3)
+    for kind, eps, n in [("uniform", 4.0**-3, 500), ("cnet-comb", 4.0**-6, None),
+                         ("uniform", 4.0**-3, 2000)]:
+        tree, rep = build_slt(generate(kind, eps=eps, n=n, seed=0), threads=3)
+        sizes = [t.n_points for t in rep.tiles]
+        pooled = sum(sizes) - max(sizes) >= pipeline.POOL_MIN_POINTS
+        assert asked == ([3] if pooled else []), (kind, sizes)
+        asked.clear()
+        assert pooled == (n == 2000)  # cnet-comb: one tile holds 2270 of 2289 points
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch, asked):
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(pipeline, "POOL_MIN_POINTS", 0)
+    inst = generate("uniform", eps=1.0 / 32.0, n=500, seed=6)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        build_slt(inst, threads=3)
+    finally:
+        release.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    assert asked == []
+    build_slt(inst, threads=3)
+    assert asked == [3]
+
+
+def test_an_error_in_a_tile_comes_out_of_the_pool_unchanged(monkeypatch):
+    def fail(*args):
+        raise ValueError("routing failed in a tile")
+
+    monkeypatch.setattr(pipeline, "steiner_tile_paths", fail)  # forked into the workers
+    monkeypatch.setattr(pipeline, "POOL_MIN_POINTS", 0)
+    inst = generate("uniform", eps=1.0 / 32.0, n=500, seed=6)
+    with pytest.raises(ValueError) as err:
+        build_slt(inst, threads=2)
+    assert type(err.value) is ValueError
+    assert err.value.args == ("routing failed in a tile",)
+    if pipeline._usable_cores() > 1:  # raised in a worker process, not here
+        assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
+    assert multiprocessing.active_children() == []
 
 
 def test_build_is_deterministic_across_runs():
@@ -130,3 +225,6 @@ def test_build_rejects_bad_arguments():
     tiny = make_instance([(2.0, 0.0)], eps=1.0 / 32.0)
     with pytest.raises(ValueError, match="at least 2"):
         build_slt(tiny)
+    for threads in (0, -1, 1.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match=r"threads=.* must be an int >= 1"):
+            build_slt(inst, threads=threads)

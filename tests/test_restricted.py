@@ -7,9 +7,9 @@ import pytest
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.restricted import LeveledPath, prune_path, restricted_tile_paths
-from shallowlight.steiner import SOURCE_CANON, Ladder, ladder_depth, ladder_lines
+from shallowlight.steiner import SOURCE_CANON, ladder_depth
 
-from helpers import brute_force_min_hitting, level_rectangles
+from helpers import Ladder, brute_force_min_hitting, ladder_lines, level_rectangles
 
 
 def test_leveled_path_validation():

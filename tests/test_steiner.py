@@ -12,15 +12,13 @@ from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER
 from shallowlight.hitting import pierce_intervals
 from shallowlight.steiner import (
     SOURCE_CANON,
-    Ladder,
     ladder_depth,
-    ladder_lines,
     ladder_table,
     line_groups,
     steiner_tile_paths,
 )
 
-from helpers import ellipse_contains
+from helpers import ellipse_contains, ladder_lines
 
 
 def test_ladder_depth_values_and_domain():
