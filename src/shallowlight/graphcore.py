@@ -108,25 +108,34 @@ class RootedTree:
 
 
 def _prim_dense(xy: np.ndarray):
-    """Exact Prim in O(n^2) with numpy row updates; starts at vertex 0."""
+    """Exact Prim in O(n^2) with numpy row updates; starts at vertex 0.
+
+    A vertex that joins the tree gets best = inf, so argmin (lowest index on
+    ties) never picks it again, and x = NaN, so no new distance to it
+    compares closer. The buffers are reused across steps.
+    """
     n = xy.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)
-    in_tree[0] = True
+    x = xy[:, 0].copy()
+    y = xy[:, 1]
+    best = np.hypot(x - x[0], y - y[0])
     best[0] = np.inf
-    d0 = np.hypot(xy[:, 0] - xy[0, 0], xy[:, 1] - xy[0, 1])
-    mask = ~in_tree
-    best[mask] = d0[mask]
+    x[0] = np.nan
+    best_from = np.zeros(n, dtype=np.int64)
+    dx = np.empty(n)
+    dy = np.empty(n)
+    closer = np.empty(n, dtype=bool)
     edges = np.empty((n - 1, 2), dtype=np.int64)
     for t in range(n - 1):
-        u = int(np.argmin(np.where(in_tree, np.inf, best)))
+        u = int(np.argmin(best))
         edges[t] = (best_from[u], u)
-        in_tree[u] = True
-        du = np.hypot(xy[:, 0] - xy[u, 0], xy[:, 1] - xy[u, 1])
-        closer = (~in_tree) & (du < best)
-        best[closer] = du[closer]
-        best_from[closer] = u
+        best[u] = np.inf
+        x[u] = np.nan
+        np.subtract(x, xy[u, 0], out=dx)
+        np.subtract(y, y[u], out=dy)
+        np.hypot(dx, dy, out=dx)
+        np.less(dx, best, out=closer)
+        np.copyto(best, dx, where=closer)
+        np.copyto(best_from, u, where=closer)
     return edges
 
 

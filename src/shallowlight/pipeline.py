@@ -51,7 +51,8 @@ MODES = ("steiner", "restricted")
 # caller takes a write fault on each page it touches again: serial builds of
 # 5k points that followed a pooled one ran 11-14% slower. A pool ends no
 # sooner than its largest tile, so it pays only when the other tiles hold
-# about this many points (a point took 25-130 us to build).
+# about this many points (a point takes 18-41 us to build at threads=1: the
+# medians of perfbench's steiner and restricted runs on that box).
 POOL_MIN_POINTS = 1500
 
 
@@ -69,6 +70,7 @@ class BuildReport:
     mode: str
     eps: float
     threads: int
+    workers: int  # worker processes that routed the tiles; 0 when routed in-process
     tiles: list[TileStats]
     n_steiner: int  # surviving Steiner vertices in the final tree
     union_graph_weight: float
@@ -123,13 +125,14 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _route_tiles(tasks, threads: int) -> list[_TileOut]:
-    """_run_tile over tasks, in order: on forked worker processes when more than one pays."""
+def _route_tiles(tasks, threads: int) -> tuple[list[_TileOut], int]:
+    """_run_tile over tasks, in order, and the number of worker processes used:
+    forked workers when more than one pays, else 0 (routed in this process)."""
     workers = min(threads, len(tasks), _usable_cores())
     sizes = [len(world) for _, world, *_ in tasks]
     if (workers <= 1 or sum(sizes) - max(sizes) < POOL_MIN_POINTS
             or not hasattr(os, "fork") or threading.active_count() > 1):
-        return [_run_tile(*t) for t in tasks]
+        return [_run_tile(*t) for t in tasks], 0
     # imported here: the process pool takes 4-7 ms to import, which serial
     # builds need not pay
     import multiprocessing
@@ -137,7 +140,7 @@ def _route_tiles(tasks, threads: int) -> list[_TileOut]:
 
     chunk = max(1, len(tasks) // (4 * workers))  # small tiles share a round trip
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
-        return list(ex.map(_run_tile, *zip(*tasks), chunksize=chunk))
+        return list(ex.map(_run_tile, *zip(*tasks), chunksize=chunk)), workers
 
 
 def build_slt(instance, mode: str = "steiner", threads: int = 1):
@@ -173,8 +176,8 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
     cuts = np.flatnonzero((np.diff(rr) != 0) | (np.diff(ss) != 0)) + 1
     members = np.split(oo, cuts)
     keys = [(int(rr[c]), int(ss[c])) for c in (0, *cuts.tolist())]
-    outs = _route_tiles([(key, instance.points[ids], instance.source, eps, params, mode)
-                         for key, ids in zip(keys, members)], threads)
+    outs, workers = _route_tiles([(key, instance.points[ids], instance.source, eps, params, mode)
+                                  for key, ids in zip(keys, members)], threads)
 
     # merge in tile order; local ids go global through one map per tile:
     # the tile's points, the source, then its Steiner vertices numbered on
@@ -199,6 +202,7 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
         mode=mode,
         eps=eps,
         threads=threads,
+        workers=workers,
         tiles=[o.stats for o in outs],
         n_steiner=int(np.sum(tree.kind == KIND_STEINER)),
         union_graph_weight=g.total_weight(),

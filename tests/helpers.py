@@ -129,6 +129,73 @@ def chain_root_distances(parent, xy, root: int) -> np.ndarray:
     return dist
 
 
+def reference_cluster_spanner(cluster) -> list[tuple[int, int]]:
+    """Plain path-greedy 2-spanner, the reference for cnet.cluster_spanner.
+
+    Pairs ascend by (distance, i, j); an edge joins the spanner iff the
+    current spanner distance between its endpoints exceeds 2x its length.
+    The all-pairs distances get a full-matrix update per added edge.
+    """
+    xy = np.asarray(cluster, dtype=np.float64).reshape(-1, 2)
+    m = xy.shape[0]
+    if m <= 1:
+        return []
+    if m == 2:
+        return [(0, 1)]
+    diff = xy[:, None, :] - xy[None, :, :]
+    dm = np.hypot(diff[..., 0], diff[..., 1])
+    iu, ju = np.triu_indices(m, 1)
+    lens = dm[iu, ju]
+    order = np.lexsort((ju, iu, lens))
+    pi = iu[order]
+    pj = ju[order]
+    plen = lens[order]
+    dist = np.full((m, m), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    edges: list[tuple[int, int]] = []
+    pos = 0
+    npairs = plen.shape[0]
+    while pos < npairs:
+        # all pairs until the next added edge see the same distance matrix,
+        # so the sequential greedy reduces to a vectorized scan
+        viol = dist[pi[pos:], pj[pos:]] > 2.0 * plen[pos:]
+        hit = np.argmax(viol)
+        if not viol[hit]:
+            break
+        pos += int(hit)
+        i, j, w = int(pi[pos]), int(pj[pos]), float(plen[pos])
+        edges.append((i, j))
+        # exact incremental APSP: a shortest path uses the new edge at most once
+        cand = np.minimum(dist[:, i][:, None] + w + dist[j, :][None, :],
+                          dist[:, j][:, None] + w + dist[i, :][None, :])
+        np.minimum(dist, cand, out=dist)
+        pos += 1
+    return edges
+
+
+def reference_prim_dense(xy: np.ndarray) -> np.ndarray:
+    """Dense Prim with an in-tree mask, the reference for graphcore._prim_dense."""
+    n = xy.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    best_from = np.zeros(n, dtype=np.int64)
+    in_tree[0] = True
+    best[0] = np.inf
+    d0 = np.hypot(xy[:, 0] - xy[0, 0], xy[:, 1] - xy[0, 1])
+    mask = ~in_tree
+    best[mask] = d0[mask]
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    for t in range(n - 1):
+        u = int(np.argmin(np.where(in_tree, np.inf, best)))
+        edges[t] = (best_from[u], u)
+        in_tree[u] = True
+        du = np.hypot(xy[:, 0] - xy[u, 0], xy[:, 1] - xy[u, 1])
+        closer = (~in_tree) & (du < best)
+        best[closer] = du[closer]
+        best_from[closer] = u
+    return edges
+
+
 def level_rectangles(p, eps: float, owner: int = -1,
                      ladder: Ladder | None = None) -> list[StripRect | None]:
     """Search boxes B_0..B_{k-1} of p: strip x-ranges, ellipse-section y-ranges.

@@ -1,12 +1,17 @@
-"""Centered net greedy vs a plain quadratic oracle; spanner stretch checks."""
+"""Centered net greedy vs a plain quadratic oracle; spanner stretch checks
+and edge-list equality with the plain path greedy."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shallowlight import pipeline
 from shallowlight.cnet import build_cnet, cluster_spanner
-from helpers import floyd_warshall
+from shallowlight.instances import generate
+from helpers import floyd_warshall, reference_cluster_spanner
 
 
 def _brute_cnet(xy, source, eps):
@@ -138,3 +143,50 @@ def test_spanner_is_deterministic():
     xy = rng.uniform(0.0, 1.0, size=(30, 2))
     first = cluster_spanner(xy)
     assert cluster_spanner(xy.copy()) == first
+
+
+@st.composite
+def _tie_heavy_clusters(draw):
+    """0..80 points with many equal pair lengths: integer lattices (duplicates
+    included), equally spaced collinear points, and lattices scaled by 1e-7
+    and moved by 1e5."""
+    m = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["lattice", "collinear", "shifted"]))
+    if kind == "collinear":
+        step = draw(st.sampled_from([1.0, 0.1, 3.0]))
+        t = np.asarray(draw(st.permutations(range(m))), dtype=np.float64) * step
+        pts = np.column_stack([t, np.zeros(m)])
+        return pts[:, ::-1] if draw(st.booleans()) else pts
+    side = draw(st.integers(1, 9))
+    cell = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    pts = np.asarray(draw(st.lists(cell, min_size=m, max_size=m)), dtype=np.float64)
+    pts = pts.reshape(-1, 2)
+    return pts * 1e-7 + 1e5 if kind == "shifted" else pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_clusters())
+def test_spanner_equals_the_plain_greedy_on_tie_heavy_clusters(xy):
+    assert cluster_spanner(xy) == reference_cluster_spanner(xy)
+
+
+def test_spanner_equals_the_plain_greedy_on_every_cluster_of_a_build(monkeypatch):
+    clusters = []
+
+    def record(cluster):
+        clusters.append(np.array(cluster))
+        return cluster_spanner(cluster)
+
+    monkeypatch.setattr(pipeline, "cluster_spanner", record)
+    pipeline.build_slt(generate("uniform", eps=4.0**-2, n=2000, seed=0))
+    assert max(len(c) for c in clusters) > 20
+    for xy in clusters:
+        assert cluster_spanner(xy) == reference_cluster_spanner(xy)
+
+
+def test_spanner_rejects_non_finite_lengths():
+    with pytest.raises(ValueError, match="twice a pair length overflows"):
+        cluster_spanner([[0.0, 0.0], [1e308, 0.0], [0.0, 1e308]])
+    for bad in ([[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0]], [[0.0, -np.inf], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="coordinate is not finite"):
+            cluster_spanner(bad)

@@ -26,7 +26,7 @@ from shallowlight.graphcore import (
 from shallowlight import baselines
 from shallowlight.baselines import kry_slt
 from shallowlight.instances import generate
-from helpers import chain_root_distances, floyd_warshall, make_instance
+from helpers import chain_root_distances, floyd_warshall, make_instance, reference_prim_dense
 
 
 def _scipy_mst_weight(xy):
@@ -96,6 +96,18 @@ def test_mst_knn_path_agrees_with_dense_prim():
     e = _prim_dense(xy)
     d = np.hypot(xy[e[:, 0], 0] - xy[e[:, 1], 0], xy[e[:, 0], 1] - xy[e[:, 1], 1])
     assert w == pytest.approx(float(np.sort(d).sum()), rel=1e-12)
+
+
+def test_prim_dense_equals_the_masked_prim():
+    """Same edge array, order included, as Prim with an in-tree mask: on the
+    grid families, whose many equal distances exercise the lowest-index tie
+    rule, and on uniform sets."""
+    cases = [generate("uniform", eps=4.0**-3, n=2000, seed=s).points for s in (0, 1)]
+    families = [generate(kind, eps=4.0**-k).points
+                for kind in ("comb", "cnet-comb", "sector-lb", "circle") for k in range(2, 7)]
+    cases += [xy for xy in families if len(xy) <= 3000]  # mst()'s dense-Prim range
+    for xy in cases:
+        assert np.array_equal(_prim_dense(xy), reference_prim_dense(xy))
 
 
 def test_geograph_build_canonicalizes_edges():

@@ -30,6 +30,7 @@ def test_build_shapes_and_report(mode):
     assert rep.mode == mode
     assert rep.eps == inst.eps
     assert rep.threads == 1
+    assert rep.workers == 0
     assert rep.wall_time_s > 0.0
     # every non-source point is routed through exactly one tile
     assert sum(t.n_points for t in rep.tiles) == inst.n - 1
@@ -101,6 +102,8 @@ def test_thread_count_does_not_change_the_tree(monkeypatch, mode):
             assert rn.union_graph_weight == r1.union_graph_weight
             assert rn.tiles == r1.tiles
             assert rn.threads == threads
+            want = min(threads, len(rn.tiles), pipeline._usable_cores())
+            assert rn.workers == (want if want > 1 else 0)
     assert multiprocessing.active_children() == []
 
 
@@ -138,6 +141,7 @@ def test_workers_are_capped_at_tiles_and_usable_cores(monkeypatch, asked, cores)
     want = min(len(rep.tiles), usable)
     assert len(rep.tiles) > 3
     assert asked == ([want] if want > 1 else [])
+    assert rep.workers == (want if want > 1 else 0)
     assert _tree_bytes(tree) == _tree_bytes(build_slt(inst, threads=1)[0])
 
 
@@ -149,6 +153,7 @@ def test_small_builds_route_in_process(monkeypatch, asked):
         sizes = [t.n_points for t in rep.tiles]
         pooled = sum(sizes) - max(sizes) >= pipeline.POOL_MIN_POINTS
         assert asked == ([3] if pooled else []), (kind, sizes)
+        assert rep.workers == (3 if pooled else 0)
         asked.clear()
         assert pooled == (n == 2000)  # cnet-comb: one tile holds 2270 of 2289 points
 
@@ -161,14 +166,16 @@ def test_no_fork_while_another_thread_runs(monkeypatch, asked):
     other = threading.Thread(target=release.wait, args=(30.0,))
     other.start()
     try:
-        build_slt(inst, threads=3)
+        _, rep = build_slt(inst, threads=3)
     finally:
         release.set()
         other.join(timeout=30.0)
     assert not other.is_alive()
     assert asked == []
-    build_slt(inst, threads=3)
+    assert (rep.threads, rep.workers) == (3, 0)
+    _, rep = build_slt(inst, threads=3)
     assert asked == [3]
+    assert (rep.threads, rep.workers) == (3, 3)
 
 
 def test_an_error_in_a_tile_comes_out_of_the_pool_unchanged(monkeypatch):
