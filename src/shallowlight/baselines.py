@@ -37,9 +37,12 @@ def _mst_adjacency(instance):
     """Sorted neighbor lists (with edge lengths) of the instance's MST."""
     edges, total = mst(instance.points)
     n = instance.n
+    d = instance.points[edges[:, 0]] - instance.points[edges[:, 1]]
+    # math.hypot of the differences is what math.dist computes; mapped over
+    # the arrays, not over lists, so no float list of every edge stays alive
+    lengths = map(math.hypot, d[:, 0], d[:, 1])
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v in edges.tolist():
-        w = float(math.dist(instance.points[u], instance.points[v]))
+    for (u, v), w in zip(edges.tolist(), lengths):
         adj[u].append((v, w))
         adj[v].append((u, w))
     for lst in adj:
@@ -156,24 +159,29 @@ def break_subpaths(instance, order: list[int], factor: float) -> SubpathBreak:
     """Split order greedily: extend while subpath weight <= factor * min ds."""
     pts = instance.points
     s = instance.source_index
-    ds = np.hypot(pts[:, 0] - pts[s, 0], pts[:, 1] - pts[s, 1])
+    at = pts[np.asarray(order, dtype=np.int64).reshape(-1)]
+    # by position in order: distance to the source, and the hop from the
+    # previous position as math.hypot of the differences (what math.dist computes)
+    ds = np.hypot(at[:, 0] - pts[s, 0], at[:, 1] - pts[s, 1]).tolist()
+    d = at[:-1] - at[1:]
+    hop = [0.0, *map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())]
     ranges: list[tuple[int, int]] = []
     anchors: list[int] = []
     i = 0
     m = len(order)
     while i < m:
         w_cur = 0.0
-        md = float(ds[order[i]])
+        md = ds[i]
         best = i
         j = i + 1
         while j < m:
-            w_next = w_cur + math.dist(pts[order[j - 1]], pts[order[j]])
-            md_next = min(md, float(ds[order[j]]))
+            w_next = w_cur + hop[j]
+            md_next = min(md, ds[j])
             if w_next > factor * md_next:
                 break
             w_cur = w_next
             md = md_next
-            if ds[order[j]] < ds[order[best]]:
+            if ds[j] < ds[best]:
                 best = j
             j += 1
         ranges.append((i, j))

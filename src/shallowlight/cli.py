@@ -97,15 +97,16 @@ def _cmd_bench(args) -> int:
         w.writerow(["epsilon", "algorithm", "kind", "n", "seed", "weight",
                     "mst_weight", "lightness", "max_stretch", "runtime_ms"])
         for eps in eps_list:
+            # each (eps, seed) instance and its MST weight serve every algorithm
+            insts = [instances.generate(args.kind, eps, n=args.n, k=args.k,
+                                        delta=args.delta, seed=seed)
+                     for seed in seeds]
+            mst_ws = [mst(inst.points)[1] for inst in insts]
             for algo in algos:
-                for seed in seeds:
-                    inst = instances.generate(args.kind, eps, n=args.n,
-                                              k=args.k, delta=args.delta,
-                                              seed=seed)
+                for seed, inst, mst_w in zip(seeds, insts, mst_ws):
                     t0 = time.perf_counter()
                     tree = _build_tree(inst, algo, threads=args.threads)
                     ms = (time.perf_counter() - t0) * 1e3
-                    _, mst_w = mst(inst.points)
                     weight = tree.weight()
                     w.writerow([
                         format(eps, ".17g"), algo, args.kind, inst.n, seed,

@@ -4,10 +4,13 @@ Vertices carry coordinates and a kind tag (input point, Steiner point, or the
 source). Edge weights are always the Euclidean distance between endpoints;
 GeoGraph.build recomputes them from coordinates so they cannot drift.
 
-mst() is exact: a dense O(n^2) Prim for n <= 3000, and above that Prim-style
-construction on a k-nearest-neighbor candidate graph (k=16, doubled until the
-candidate graph is connected), which the tests validate against the dense
-version. shortest_path_tree takes distances from scipy's Dijkstra and gives
+mst() is exact up to 3000 points, where it runs a dense O(n^2) Prim. Above
+that it returns the MST of a k-nearest-neighbor candidate graph (k=16,
+doubled until that graph is connected), which is not always the Euclidean
+MST: a connected k-NN graph can miss an MST edge. On 3,213 points (two
+17-point clusters 10 apart, joined the long way round by a chain with gaps of
+15, plus a 3,000-point grid) it weighs 5179.008 against the exact 5174.007.
+shortest_path_tree takes distances from scipy's Dijkstra and gives
 each vertex the lowest-id neighbor u with dist[u] + w(u, v) == dist[v] as its
 parent. root_distances sums edge lengths along parent chains in level order,
 and verify_tree checks a tree's structure against its instance.
@@ -165,7 +168,12 @@ def _mst_knn(xy: np.ndarray):
 
 
 def mst(points) -> tuple[np.ndarray, float]:
-    """Exact Euclidean MST: ((n-1, 2) edge array, total weight)."""
+    """Euclidean MST: ((n-1, 2) edge array, total weight).
+
+    Exact for n <= 3000 (dense Prim). Above that, the MST of the k-NN
+    candidate graph, which can be heavier than the exact MST when that graph
+    misses an MST edge (see the module docstring).
+    """
     xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = xy.shape[0]
     if n == 0:

@@ -11,21 +11,24 @@ L_{i-1}(p). Line positions are tracked as integer indices, which makes the
 spacing exactly (8 - (j mod 4)) * 4^{i-1} * eps, inside [4^i eps, 2 * 4^i eps].
 
 `ladder_table` holds all ladders and sandwich-ellipse sections as arrays, and
-`line_groups` groups them by line. Each line carries the minimum piercing set
-of its members' cross-sections; p's path hops to the first piercing point
-inside its own cross-section on each ladder line, then to the source.
+`line_groups` sorts its cells by line. Each line carries the minimum piercing
+set of its members' cross-sections, found for all lines of the tile in one
+`pierce_groups` sweep; p's path hops to the first piercing point inside its
+own cross-section on each ladder line (one grouped search for all cells),
+then to the source. Vertices are numbered by first use, and the tile's paths
+are kept as one (point, level) table of vertex ids; `paths` and `lines` are
+derived from it on request.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, GeoGraph
-from .hitting import pierce_intervals
+from .hitting import GroupedSorted, pierce_groups
 
 SOURCE_CANON = (2.0, 0.0)
 
@@ -70,19 +73,17 @@ def ladder_table(pts, eps: float, levels: int):
     return line_index, x, py - h, py + h
 
 
-def line_groups(line_index) -> list[tuple[int, int, list[int]]]:
-    """Table cells by line, ascending: (level, line index, member rows ascending)."""
+def line_groups(line_index):
+    """Table cells sorted by (level, line index, row), as (level, row, line)
+    arrays; line numbers the distinct (level, line index) pairs from 0 up."""
     m, levels = line_index.shape
     level = np.repeat(np.arange(levels), m)
     j = line_index.T.ravel()
     order = np.lexsort((j, level))
-    if order.size == 0:
-        return []
-    cut = np.flatnonzero((np.diff(level[order]) != 0) | (np.diff(j[order]) != 0)) + 1
-    bounds = [0, *cut.tolist(), order.size]
-    starts, rows = order[bounds[:-1]], (order % m).tolist()
-    return list(zip(level[starts].tolist(), j[starts].tolist(),
-                    (rows[a:b] for a, b in zip(bounds, bounds[1:]))))
+    level, j = level[order], j[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (level[1:] != level[:-1]) | (j[1:] != j[:-1])
+    return level, order % max(m, 1), np.cumsum(new) - 1
 
 
 @dataclass
@@ -90,11 +91,35 @@ class SteinerTileResult:
     """Union of per-point ladder paths inside one tile (canonical coords)."""
 
     graph: GeoGraph
-    paths: list[list[int]]  # vertex ids, p first, source last
     source_id: int
     k_levels: int
-    # (level, line index) -> (x, member point ids, piercing y values ascending)
-    lines: dict[tuple[int, int], tuple[float, list[int], list[float]]]
+    walk: np.ndarray  # (m, k+2) vertex ids: p, its stop on each level, the source
+    line_index: np.ndarray  # (m, k) ladder table: line indices and their x
+    x: np.ndarray
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]  # line_groups(line_index)
+    pierce: GroupedSorted  # (line, y) of every piercing point
+
+    @property
+    def paths(self) -> list[list[int]]:
+        """Vertex ids per net point, p first, source last; repeats collapsed."""
+        keep = np.diff(self.walk, axis=1, prepend=-1) != 0
+        return [row[kept].tolist() for row, kept in zip(self.walk, keep)]
+
+    @property
+    def lines(self) -> dict[tuple[int, int], tuple[float, list[int], list[float]]]:
+        """(level, line index) -> (x, member rows ascending, piercing ys ascending)."""
+        level, row, line = self.cells
+        n_lines = int(line[-1]) + 1 if line.size else 0
+        bounds = np.searchsorted(line, np.arange(n_lines + 1)).tolist()
+        cut = np.searchsorted(self.pierce.group, np.arange(n_lines + 1)).tolist()
+        out = {}
+        for t in range(n_lines):
+            a, b = bounds[t], bounds[t + 1]
+            lvl, r = int(level[a]), int(row[a])
+            out[(lvl, int(self.line_index[r, lvl]))] = (
+                float(self.x[r, lvl]), row[a:b].tolist(),
+                self.pierce.value[cut[t]:cut[t + 1]].tolist())
+        return out
 
 
 def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
@@ -106,36 +131,41 @@ def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
         raise ValueError("steiner_tile_paths: net point at or beyond the source line x=2")
     line_index, x, y_lo, y_hi = ladder_table(pts, eps, k)
 
-    # a member stops at its line's first pierce >= its y_lo (a NaN section raises)
-    lines: dict[tuple[int, int], tuple[float, list[int], list[float]]] = {}
-    xs, los, his = x.T.tolist(), y_lo.T.tolist(), y_hi.T.tolist()  # [level][row]
-    stop_y = np.empty((k, m))
-    for lvl, j, rows in line_groups(line_index):
-        lo, hi = los[lvl], his[lvl]
-        pierce = pierce_intervals([(lo[r], hi[r]) for r in rows])
-        for r in rows:
-            y = pierce[min(bisect.bisect_left(pierce, lo[r]), len(pierce) - 1)]
-            if not lo[r] <= y <= hi[r]:
-                raise ValueError("piercing set misses a member interval")
-            stop_y[lvl, r] = y
-        lines[(lvl, j)] = (xs[lvl][rows[0]], rows, pierce)
+    # every line's piercing set in one sweep (a NaN section raises); a member
+    # stops at its line's first pierce >= its lo, else at the line's last
+    level, row, line = cells = line_groups(line_index)
+    lo, hi = y_lo[row, level], y_hi[row, level]
+    picks = pierce_groups(line, lo, hi)
+    pierce = GroupedSorted(line[picks], hi[picks])
+    at = np.minimum(pierce.search(line, lo), np.searchsorted(pierce.group, line, side="right") - 1)
+    y = pierce.value[at]
+    if not np.all((lo <= y) & (y <= hi)):
+        raise ValueError("piercing set misses a member interval")
+    stop_y = np.empty((m, k))
+    stop_y[row, level] = y
 
     # vertices by first use over [net, source, stops]; coordinates compare as
     # numbers (adding 0.0 maps -0.0 to 0.0), so a stop on a net point reuses it
-    cand = np.vstack([pts, [SOURCE_CANON], np.column_stack([x.ravel(), stop_y.T.ravel()])])
-    _, first, inverse = np.unique(cand + 0.0, axis=0, return_index=True, return_inverse=True)
+    cand = np.vstack([pts, [SOURCE_CANON], np.column_stack([x.ravel(), stop_y.ravel()])])
+    key = cand + 0.0
+    order = np.lexsort((key[:, 1], key[:, 0]))  # stable: equal points by first use
+    key = key[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    first = order[new]
     if np.count_nonzero(first < m) < m:
         raise ValueError("steiner_tile_paths: duplicate net points")
     by_use = np.argsort(first)
-    vid = np.argsort(by_use)[inverse.ravel()]
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(by_use.size)
+    vid = np.empty_like(order)
+    vid[order] = rank[np.cumsum(new) - 1]
     xy = cand[first[by_use]]
     source_id = m  # net points lie left of x=2, so none is the source
     kind = np.repeat(np.int8([KIND_INPUT, KIND_SOURCE, KIND_STEINER]), [m, 1, len(xy) - m - 1])
 
     # path rows [p, stops..., source]; a vertex equal to the previous collapses
     walk = np.column_stack([np.arange(m), vid[m + 1:].reshape(m, k), np.full(m, source_id)])
-    keep = np.diff(walk, axis=1, prepend=-1) != 0
-    paths = [row[kept].tolist() for row, kept in zip(walk, keep)]
-    edges = [e for path in paths for e in zip(path, path[1:])]
-    g = GeoGraph.build(xy, kind, edges)
-    return SteinerTileResult(g, paths, source_id, k, lines)
+    step = walk[:, 1:] != walk[:, :-1]
+    g = GeoGraph.build(xy, kind, np.column_stack([walk[:, :-1][step], walk[:, 1:][step]]))
+    return SteinerTileResult(g, source_id, k, walk, line_index, x, cells, pierce)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
+from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, GeoGraph
 from shallowlight.hitting import StripRect
 from shallowlight.instances import Instance
+from shallowlight.restricted import LeveledPath, StripInfo
 from shallowlight.steiner import SOURCE_CANON, ladder_depth, ladder_table
 from shallowlight.tiling import TileId, tiles_of
 
@@ -357,3 +361,168 @@ def tooth_regions(instance) -> list[np.ndarray]:
     above = above[above != instance.source_index]
     xs = pts[above, 0]
     return [above[xs == x] for x in np.unique(xs)]
+
+
+# --- scalar references for the array tile routers ------------------------------
+# The per-line and per-strip forms the routers in steiner.py, restricted.py and
+# hitting.py replaced; the array forms must give the same graphs and stops.
+
+
+def _check(intervals):
+    out = []
+    for iv in intervals:
+        lo, hi = float(iv[0]), float(iv[1])
+        if not lo <= hi:
+            raise ValueError(f"malformed interval [{lo}, {hi}]")
+        out.append((lo, hi))
+    return out
+
+
+def reference_pierce_intervals(intervals) -> list[float]:
+    """Minimum piercing set, ascending. Greedy sweep picking right endpoints."""
+    ivs = _check(intervals)
+    pts: list[float] = []
+    last = None
+    for lo, hi in sorted(ivs, key=lambda t: (t[1], t[0])):
+        if last is None or lo > last:
+            pts.append(hi)
+            last = hi
+    return pts
+
+
+def reference_hit_intervals_discrete(intervals, candidates) -> list[int]:
+    """Minimum hitting set drawn from candidates; returns candidate indices.
+
+    Greedy by ascending right endpoint: an unhit interval is assigned the
+    largest candidate value <= hi (ties on equal values break to the lowest
+    candidate index). Errors if some interval contains no candidate.
+    """
+    ivs = _check(intervals)
+    cand = [(float(c), i) for i, c in enumerate(candidates)]
+    cand.sort()
+    chosen: list[int] = []
+    chosen_vals: list[float] = []
+    vals = [v for v, _ in cand]
+    for lo, hi in sorted(ivs, key=lambda t: (t[1], t[0])):
+        if chosen_vals and lo <= chosen_vals[-1] <= hi:
+            continue
+        j = bisect.bisect_right(vals, hi) - 1
+        if j < 0 or vals[j] < lo:
+            raise ValueError(f"interval [{lo}, {hi}] contains no candidate")
+        # step to the lowest candidate index among equal values
+        while j > 0 and vals[j - 1] == vals[j]:
+            j -= 1
+        chosen.append(cand[j][1])
+        chosen_vals.append(vals[j])
+    return chosen
+
+
+def reference_line_groups(line_index) -> list[tuple[int, int, list[int]]]:
+    """Table cells by line, ascending: (level, line index, member rows ascending)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    m, levels = np.shape(line_index)
+    for lvl in range(levels):
+        for r in range(m):
+            groups.setdefault((lvl, int(line_index[r, lvl])), []).append(r)
+    return [(lvl, j, rows) for (lvl, j), rows in sorted(groups.items())]
+
+
+def prune_path(path: LeveledPath) -> LeveledPath:
+    """Drop each interior stop whose level is one above the last kept stop's level.
+
+    One pass; consecutive interior levels differ by at least 2 afterwards.
+    """
+    verts, levels = [path.vertices[0]], []
+    for v, level in zip(path.interior, path.levels):
+        if not levels or level != levels[-1] + 1:
+            verts.append(v)
+            levels.append(level)
+    verts.append(path.vertices[-1])
+    return LeveledPath(verts, levels)
+
+
+def reference_steiner_tile_paths(net, eps: float):
+    """steiner_tile_paths, one pierce_intervals call per line."""
+    pts = np.asarray(net, dtype=np.float64).reshape(-1, 2)
+    m = pts.shape[0]
+    k = ladder_depth(eps)  # rejects eps outside (0, 1/16]
+    if np.any(pts[:, 0] >= 2.0):
+        raise ValueError("steiner_tile_paths: net point at or beyond the source line x=2")
+    line_index, x, y_lo, y_hi = ladder_table(pts, eps, k)
+
+    # a member stops at its line's first pierce >= its y_lo (a NaN section raises)
+    lines: dict[tuple[int, int], tuple[float, list[int], list[float]]] = {}
+    xs, los, his = x.T.tolist(), y_lo.T.tolist(), y_hi.T.tolist()  # [level][row]
+    stop_y = np.empty((k, m))
+    for lvl, j, rows in reference_line_groups(line_index):
+        lo, hi = los[lvl], his[lvl]
+        pierce = reference_pierce_intervals([(lo[r], hi[r]) for r in rows])
+        for r in rows:
+            y = pierce[min(bisect.bisect_left(pierce, lo[r]), len(pierce) - 1)]
+            if not lo[r] <= y <= hi[r]:
+                raise ValueError("piercing set misses a member interval")
+            stop_y[lvl, r] = y
+        lines[(lvl, j)] = (xs[lvl][rows[0]], rows, pierce)
+
+    # vertices by first use over [net, source, stops]; coordinates compare as
+    # numbers (adding 0.0 maps -0.0 to 0.0), so a stop on a net point reuses it
+    cand = np.vstack([pts, [SOURCE_CANON], np.column_stack([x.ravel(), stop_y.T.ravel()])])
+    _, first, inverse = np.unique(cand + 0.0, axis=0, return_index=True, return_inverse=True)
+    if np.count_nonzero(first < m) < m:
+        raise ValueError("steiner_tile_paths: duplicate net points")
+    by_use = np.argsort(first)
+    vid = np.argsort(by_use)[inverse.ravel()]
+    xy = cand[first[by_use]]
+    source_id = m  # net points lie left of x=2, so none is the source
+    kind = np.repeat(np.int8([KIND_INPUT, KIND_SOURCE, KIND_STEINER]), [m, 1, len(xy) - m - 1])
+
+    # path rows [p, stops..., source]; a vertex equal to the previous collapses
+    walk = np.column_stack([np.arange(m), vid[m + 1:].reshape(m, k), np.full(m, source_id)])
+    keep = np.diff(walk, axis=1, prepend=-1) != 0
+    paths = [row[kept].tolist() for row, kept in zip(walk, keep)]
+    edges = [e for path in paths for e in zip(path, path[1:])]
+    g = GeoGraph.build(xy, kind, edges)
+    return SimpleNamespace(graph=g, paths=paths, source_id=source_id, k_levels=k, lines=lines)
+
+
+def reference_restricted_tile_paths(net_idx, pts, eps: float):
+    """restricted_tile_paths, one hit_intervals_discrete call per strip."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    n = pts.shape[0]
+    net = np.asarray(net_idx, dtype=np.int64).reshape(-1)
+    k = ladder_depth(eps)  # rejects eps outside (0, 1/16]
+    if np.any((net < 0) | (net >= n)):
+        raise ValueError("restricted_tile_paths: net index out of range")
+    if np.any(pts[:, 0] >= 2.0):
+        raise ValueError("restricted_tile_paths: point at or beyond the source line x=2")
+    source_id = n
+    line_index, x, y_lo, y_hi = ladder_table(pts[net], eps, k + 1)
+
+    by_x = np.argsort(pts[:, 0], kind="stable")
+    xs_sorted = pts[by_x, 0]
+    los, his = y_lo.T.tolist(), y_hi.T.tolist()  # [level][net position]
+    strips: dict[tuple[int, int], StripInfo] = {}
+    stops = [{} for _ in range(net.size)]  # level -> stop id, filled in ascending level
+    for level, j, rows in reference_line_groups(line_index[:, :k]):
+        x_lo, x_hi = float(x[rows[0], level]), float(x[rows[0], level + 1])
+        lo_pos, hi_pos = np.searchsorted(xs_sorted, [x_lo, x_hi], side="right")
+        ids = by_x[lo_pos:hi_pos]
+        ids = ids[np.lexsort((ids, pts[ids, 1]))]
+        cand_ids, cand_ys = ids.tolist(), pts[ids, 1].tolist()
+        lo, hi = los[level + 1], his[level + 1]  # owners' boxes; a NaN box holds no point
+        first = [bisect.bisect_left(cand_ys, lo[r]) for r in rows]
+        boxes = [r for r, t in zip(rows, first) if t < len(cand_ys) and cand_ys[t] <= hi[r]]
+        hit = reference_hit_intervals_discrete([(lo[r], hi[r]) for r in boxes], cand_ys)
+        for r in boxes:
+            stops[r][level] = min(cand_ids[t] for t in hit if lo[r] <= cand_ys[t] <= hi[r])
+        strips[(level, j)] = StripInfo(
+            level, x_lo, x_hi, net[rows].tolist(), cand_ids, [cand_ids[t] for t in hit])
+
+    raw_paths = [LeveledPath([p, *stop.values(), source_id], list(stop))
+                 for p, stop in zip(net.tolist(), stops)]
+    paths = [prune_path(raw) for raw in raw_paths]
+    edges = [e for path in paths for e in zip(path.vertices, path.vertices[1:])]
+    kind = np.repeat(np.int8([KIND_INPUT, KIND_SOURCE]), [n, 1])
+    g = GeoGraph.build(np.vstack([pts, [SOURCE_CANON]]), kind, edges)
+    return SimpleNamespace(graph=g, source_id=source_id, k_levels=k, paths=paths,
+                           raw_paths=raw_paths, strips=strips)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import shallowlight
+from shallowlight import cli, graphcore
 from shallowlight.cli import BUILD_ALGOS, main
 from shallowlight.instances import generate
 from shallowlight.textio import read_instance, read_tree, write_instance
@@ -161,6 +162,33 @@ def test_bench_csv_layout(tmp_path):
         )
         if rec["algorithm"] == "mst":
             assert float(rec["lightness"]) == 1.0
+
+
+def test_bench_generates_each_instance_and_its_mst_once(tmp_path, monkeypatch):
+    calls = {"generate": 0, "mst": 0}
+
+    def counted(name, fn):
+        def call(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return call
+
+    monkeypatch.setattr(cli.instances, "generate", counted("generate", cli.instances.generate))
+    monkeypatch.setattr(cli, "mst", counted("mst", cli.mst))
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--algos", "kry,abp,mst", "--eps-list", "0.25,0.0625",
+               "--kind", "uniform", "--n", "30", "--seeds", "0,1,2", "-o", str(out)])
+    assert rc == 0
+    assert calls == {"generate": 2 * 3, "mst": 2 * 3}
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    # rows ascend by eps, then algorithm as listed, then seed as listed
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        (format(eps, ".17g"), algo, seed) for eps in (0.25, 0.0625)
+        for algo in ("kry", "abp", "mst") for seed in "012"]
+    for r in rows:
+        inst = generate("uniform", float(r[0]), n=30, seed=int(r[4]))
+        assert r[6] == format(graphcore.mst(inst.points)[1], ".12g")
 
 
 def test_bench_rejects_unknown_algorithm(tmp_path, capsys):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
-from shallowlight.restricted import LeveledPath, prune_path, restricted_tile_paths
+from shallowlight.restricted import LeveledPath, prune_levels, restricted_tile_paths
 from shallowlight.steiner import SOURCE_CANON, ladder_depth
 
-from helpers import Ladder, brute_force_min_hitting, ladder_lines, level_rectangles
+from helpers import Ladder, brute_force_min_hitting, ladder_lines, level_rectangles, prune_path
 
 
 def test_leveled_path_validation():
@@ -68,6 +68,17 @@ def test_prune_path_one_pass_equals_fixpoint_on_every_level_set():
         want = _prune_to_fixpoint(levels)
         assert out.levels == want
         assert out.vertices == [-1] + [100 + lvl for lvl in want] + [-2]
+
+
+def test_prune_levels_equals_prune_path_on_every_level_set():
+    # all 1,024 level sets at once, one table row each
+    masks = np.arange(1 << 10)
+    has_stop = (masks[:, None] >> np.arange(10) & 1).astype(bool)
+    keep = prune_levels(has_stop)
+    for row, kept in zip(has_stop, keep):
+        levels = np.flatnonzero(row).tolist()
+        out = prune_path(LeveledPath([-1, *levels, -2], levels))
+        assert np.flatnonzero(kept).tolist() == out.levels
 
 
 def test_level_rectangles_geometry():

@@ -18,7 +18,7 @@ from shallowlight.steiner import (
     steiner_tile_paths,
 )
 
-from helpers import ellipse_contains, ladder_lines
+from helpers import ellipse_contains, ladder_lines, reference_line_groups
 
 
 def test_ladder_depth_values_and_domain():
@@ -116,13 +116,11 @@ def test_line_groups_match_a_dict_grouping():
     rng = np.random.default_rng(2)
     for m, levels in ((0, 3), (1, 1), (7, 2), (60, 4)):
         line_index = rng.integers(0, 5, size=(m, levels))
-        want = {}
-        for r in range(m):
-            for lvl in range(levels):
-                want.setdefault((lvl, int(line_index[r, lvl])), []).append(r)
-        got = line_groups(line_index)
-        assert [(lvl, j) for lvl, j, _ in got] == sorted(want)
-        assert all(rows == want[(lvl, j)] for lvl, j, rows in got)
+        level, row, line = line_groups(line_index)
+        got = [(int(level[line == t][0]), int(line_index[row[line == t][0], level[line == t][0]]),
+                row[line == t].tolist()) for t in range(line.max() + 1 if line.size else 0)]
+        assert got == reference_line_groups(line_index)
+        assert np.all(np.diff(line) >= 0)
 
 
 def _canonical_net(rng, m, eps):
