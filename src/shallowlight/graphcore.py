@@ -4,12 +4,17 @@ Vertices carry coordinates and a kind tag (input point, Steiner point, or the
 source). Edge weights are always the Euclidean distance between endpoints;
 GeoGraph.build recomputes them from coordinates so they cannot drift.
 
-mst() is exact up to 3000 points, where it runs a dense O(n^2) Prim. Above
-that it returns the MST of a k-nearest-neighbor candidate graph (k=16,
-doubled until that graph is connected), which is not always the Euclidean
-MST: a connected k-NN graph can miss an MST edge. On 3,213 points (two
-17-point clusters 10 apart, joined the long way round by a chain with gaps of
-15, plus a 3,000-point grid) it weighs 5179.008 against the exact 5174.007.
+mst() is exact up to 3000 points. Where no two nearest-neighbor distances
+and no two Delaunay edge lengths are equal, it takes the MST of the Delaunay
+graph: every Euclidean MST edge lies in it, and distinct lengths make the MST
+unique. Otherwise it runs a dense O(n^2) Prim with a lowest-index tie rule.
+Above 3000 points it returns the MST of a k-nearest-neighbor candidate graph
+(k=16, doubled until that graph is connected), which is not always the
+Euclidean MST: a connected k-NN graph can miss an MST edge. On 3,213 points
+(two 17-point clusters 10 apart, joined the long way round by a chain with
+gaps of 15, plus a 3,000-point grid) it weighs 5179.008 against the exact
+5174.007. At every size its edges are (u, v) pairs with u < v, sorted.
+
 shortest_path_tree takes distances from scipy's Dijkstra and gives
 each vertex the lowest-id neighbor u with dist[u] + w(u, v) == dist[v] as its
 parent. root_distances sums edge lengths along parent chains in level order,
@@ -26,7 +31,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _scipy_bfs_order
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 KIND_INPUT = 0
 KIND_STEINER = 1
@@ -142,48 +147,131 @@ def _prim_dense(xy: np.ndarray):
     return edges
 
 
+def _mst_delaunay(xy: np.ndarray):
+    """The MST over the Delaunay edges, or None where that is not certified.
+
+    Every Euclidean MST edge has an empty diametral disc, so it is an edge of
+    every Delaunay triangulation (Shamos and Hoey, 1975). When all Delaunay
+    edge lengths differ, that graph has one MST, so the Euclidean MST is
+    unique and this is it. None when Qhull fails or drops a point (a repeat),
+    when two Delaunay edges have the same length, or when the MST does not
+    span all points.
+    """
+    n = xy.shape[0]
+    try:
+        tri = Delaunay(xy)
+    except QhullError:
+        return None
+    if tri.coplanar.size:
+        return None
+    indptr, nbr = tri.vertex_neighbor_vertices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    up = rows < nbr
+    u, v = rows[up], nbr[up]
+    w = np.hypot(xy[u, 0] - xy[v, 0], xy[u, 1] - xy[v, 1])
+    if _has_equal(w):
+        return None
+    t = _scipy_mst(csr_matrix((w, (u, v)), shape=(n, n)), overwrite=True).tocoo()
+    if t.nnz != n - 1:
+        return None
+    return _canonical_edges(t.row, t.col)
+
+
+def _nn_tie(xy: np.ndarray) -> bool:
+    """True if two distinct nearest-neighbor pairs are equally long.
+
+    A cheap screen that sends grids and other tie-rich sets straight to dense
+    Prim; _mst_delaunay's equal-length check is what certifies exactness.
+    """
+    d, idx = cKDTree(xy).query(xy, k=2)
+    i = np.arange(xy.shape[0])
+    j = idx[:, 1]
+    once = (idx[j, 1] != i) | (i < j)  # one copy of each mutual pair
+    return _has_equal(d[once, 1])
+
+
+def _has_equal(values: np.ndarray) -> bool:
+    s = np.sort(values)
+    return bool(np.any(s[1:] == s[:-1]))
+
+
 def _mst_knn(xy: np.ndarray):
-    """MST on a k-NN candidate graph, doubling k until connected."""
+    """MST on a k-NN candidate graph, doubling k until connected.
+
+    Repeated points are found from zero-length candidate edges; the MST is
+    then taken over the distinct points (_mst_with_repeats).
+    """
     n = xy.shape[0]
     k = 16
     tree = cKDTree(xy)
     while True:
         kk = min(k + 1, n)
         _, idx = tree.query(xy, k=kk)
+        # scipy's canonical CSR layout: kk - 1 neighbors per row, columns sorted
+        cols = np.sort(idx[:, 1:], axis=1).reshape(-1)
         rows = np.repeat(np.arange(n), kk - 1)
-        cols = idx[:, 1:].reshape(-1)
         w = np.hypot(
             xy[rows, 0] - xy[cols, 0], xy[rows, 1] - xy[cols, 1]
         )
-        g = csr_matrix((w, (rows, cols)), shape=(n, n))
-        t = _scipy_mst(g)
-        t = t.tocoo()
+        if not w.all():
+            return _mst_with_repeats(xy)
+        g = csr_matrix((w, cols, np.arange(0, (kk - 1) * n + 1, kk - 1)), shape=(n, n))
+        t = _scipy_mst(g, overwrite=True).tocoo()
         if t.nnz == n - 1:
-            e = np.sort(np.stack([t.row, t.col], axis=1).astype(np.int64), axis=1)
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            return e[order]
+            return _canonical_edges(t.row, t.col)
         if kk >= n:
             raise RuntimeError("k-NN MST failed to connect at k=n")
         k *= 2
 
 
+def _mst_with_repeats(xy: np.ndarray):
+    """MST over the distinct points, each repeat tied to its first copy by a
+    zero-length edge."""
+    _, first, inv = np.unique(xy, axis=0, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    e, _ = mst(xy[keep])
+    rep = np.ones(xy.shape[0], dtype=bool)
+    rep[keep] = False
+    rep = np.flatnonzero(rep)
+    copy = first[inv.reshape(-1)[rep]]
+    return _canonical_edges(np.concatenate([keep[e[:, 0]], copy]),
+                            np.concatenate([keep[e[:, 1]], rep]))
+
+
+def _canonical_edges(a, b) -> np.ndarray:
+    """(u, v) pairs with u < v, lexicographically sorted, as int64."""
+    e = np.sort(np.stack([a, b], axis=1).astype(np.int64), axis=1)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
 def mst(points) -> tuple[np.ndarray, float]:
     """Euclidean MST: ((n-1, 2) edge array, total weight).
 
-    Exact for n <= 3000 (dense Prim). Above that, the MST of the k-NN
+    Edges are (u, v) pairs with u < v in lexicographic order, at every size;
+    the weight is the sorted sum of their lengths. Exact for n <= 3000: the
+    Delaunay MST where no two nearest-neighbor distances and no two Delaunay
+    edge lengths are equal (then the Euclidean MST is unique), otherwise
+    dense Prim with its lowest-index tie rule. Above that, the MST of the k-NN
     candidate graph, which can be heavier than the exact MST when that graph
-    misses an MST edge (see the module docstring).
+    misses an MST edge (see the module docstring); there each repeated point
+    is joined to its first copy by a zero-length edge. ValueError if a
+    coordinate is not finite.
     """
     xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        raise ValueError("mst: a coordinate is not finite")
     n = xy.shape[0]
     if n == 0:
         raise ValueError("mst: empty point set")
     if n == 1:
         return np.empty((0, 2), dtype=np.int64), 0.0
-    if n <= _EXACT_MST_LIMIT:
-        e = _prim_dense(xy)
-    else:
+    if n > _EXACT_MST_LIMIT:
         e = _mst_knn(xy)
+    else:
+        e = None if n < 3 or _nn_tie(xy) else _mst_delaunay(xy)
+        if e is None:
+            p = _prim_dense(xy)
+            e = _canonical_edges(p[:, 0], p[:, 1])
     d = np.hypot(xy[e[:, 0], 0] - xy[e[:, 1], 0], xy[e[:, 0], 1] - xy[e[:, 1], 1])
     w = float(np.sort(d).sum())  # order-canonical sum, see RootedTree.weight
     return e, w

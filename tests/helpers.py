@@ -9,6 +9,9 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial import cKDTree
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, GeoGraph
@@ -198,6 +201,27 @@ def reference_prim_dense(xy: np.ndarray) -> np.ndarray:
         best[closer] = du[closer]
         best_from[closer] = u
     return edges
+
+
+def reference_mst_knn(xy: np.ndarray) -> np.ndarray:
+    """k-NN candidate MST built through a COO matrix, the reference for
+    graphcore._mst_knn's direct CSR layout (inputs without repeated points)."""
+    n = xy.shape[0]
+    k = 16
+    tree = cKDTree(xy)
+    while True:
+        kk = min(k + 1, n)
+        _, idx = tree.query(xy, k=kk)
+        rows = np.repeat(np.arange(n), kk - 1)
+        cols = idx[:, 1:].reshape(-1)
+        w = np.hypot(xy[rows, 0] - xy[cols, 0], xy[rows, 1] - xy[cols, 1])
+        t = minimum_spanning_tree(csr_matrix((w, (rows, cols)), shape=(n, n))).tocoo()
+        if t.nnz == n - 1:
+            e = np.sort(np.stack([t.row, t.col], axis=1).astype(np.int64), axis=1)
+            return e[np.lexsort((e[:, 1], e[:, 0]))]
+        if kk >= n:
+            raise RuntimeError("k-NN MST failed to connect at k=n")
+        k *= 2
 
 
 def level_rectangles(p, eps: float, owner: int = -1,

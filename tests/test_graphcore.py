@@ -1,6 +1,7 @@
 """Graph containers, exact MST, SPT, and the two quality metrics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shallowlight.graphcore import (
     KIND_STEINER,
     GeoGraph,
     RootedTree,
+    _mst_delaunay,
     _prim_dense,
     lightness,
     mst,
@@ -23,10 +25,16 @@ from shallowlight.graphcore import (
     shortest_path_tree,
     verify_tree,
 )
-from shallowlight import baselines
+from shallowlight import baselines, graphcore
 from shallowlight.baselines import kry_slt
 from shallowlight.instances import generate
-from helpers import chain_root_distances, floyd_warshall, make_instance, reference_prim_dense
+from helpers import (
+    chain_root_distances,
+    floyd_warshall,
+    make_instance,
+    reference_mst_knn,
+    reference_prim_dense,
+)
 
 
 def _scipy_mst_weight(xy):
@@ -89,13 +97,134 @@ def test_mst_matches_scipy_on_random_sets():
         assert w == pytest.approx(_scipy_mst_weight(xy), rel=1e-12)
 
 
+def _prim_edges(xy):
+    """_prim_dense's edge set in mst()'s (u < v, lexsorted) order."""
+    e = np.sort(_prim_dense(xy), axis=1)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
+def _count_prim_calls(monkeypatch):
+    calls = []
+
+    def counted(xy):
+        calls.append(len(xy))
+        return _prim_dense(xy)
+
+    monkeypatch.setattr(graphcore, "_prim_dense", counted)
+    return calls
+
+
+def _battery_baseline_points():
+    # the uniform-2k-battery instances that perfbench also builds baselines on
+    return [generate("uniform", eps=4.0**-k, n=2000, seed=s).points
+            for k in (2, 3, 4) for s in (0, 1)]
+
+
+def _degenerate_sets():
+    repeated = np.random.default_rng(8).uniform(0.0, 1.0, size=(100, 2))
+    repeated[99] = repeated[3]
+    return [
+        np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),  # unit square
+        np.array([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]),  # collinear
+        repeated,
+    ]
+
+
+def _tie_rich_sets():
+    families = [generate(kind, eps=4.0**-k).points
+                for kind in ("comb", "cnet-comb", "sector-lb", "circle") for k in range(2, 7)]
+    return [xy for xy in families if len(xy) <= 3000] + _degenerate_sets()
+
+
+def test_mst_edges_are_lexsorted_pairs_at_every_size():
+    rng = np.random.default_rng(4)
+    sets = [rng.uniform(0.0, 1.0, size=(n, 2)) for n in (2, 3, 200, 3100)]
+    for xy in sets + _degenerate_sets():
+        e, _ = mst(xy)
+        assert e.dtype == np.int64 and e.shape == (len(xy) - 1, 2)
+        assert np.all(e[:, 0] < e[:, 1])
+        assert np.array_equal(e, e[np.lexsort((e[:, 1], e[:, 0]))])
+
+
+def test_delaunay_fast_path_equals_dense_prim_without_calling_it(monkeypatch):
+    rng = np.random.default_rng(21)
+    sets = [rng.uniform(0.0, 1.0, size=(n, 2))
+            for n in (3, 4, 10, 100, 1000, 2001, 3000) for _ in range(3)]
+    sets += _battery_baseline_points()
+    calls = _count_prim_calls(monkeypatch)
+    for xy in sets:
+        e, _ = mst(xy)
+        assert calls == [], len(xy)
+        assert np.array_equal(e, _prim_edges(xy)), len(xy)
+
+
+def test_tie_rich_sets_take_dense_prim(monkeypatch):
+    """Every family instance up to 3,000 points, the unit square, three
+    collinear points and a set with a repeated point go to dense Prim."""
+    calls = _count_prim_calls(monkeypatch)
+    for xy in _tie_rich_sets():
+        calls.clear()
+        e, _ = mst(xy)
+        assert calls == [len(xy)]
+        assert np.array_equal(e, _prim_edges(xy))
+
+
+def test_delaunay_helper_refuses_equal_edge_lengths():
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    assert _mst_delaunay(square) is None
+    # a slightly skewed quadrilateral has distinct lengths and is certified
+    kite = np.array([(0.0, 0.0), (1.0, 0.1), (0.2, 1.3), (1.4, 1.7)])
+    assert np.array_equal(_mst_delaunay(kite), _prim_edges(kite))
+
+
 def test_mst_knn_path_agrees_with_dense_prim():
     rng = np.random.default_rng(5)
-    xy = rng.uniform(0.0, 1.0, size=(3100, 2))  # above the dense cutoff
-    _, w = mst(xy)
+    xy = rng.uniform(0.0, 1.0, size=(3100, 2))  # above the dense cutoff, tie-free
+    e, _ = mst(xy)
+    assert np.array_equal(e, _prim_edges(xy))
+
+
+def test_mst_knn_csr_layout_equals_the_coo_construction():
+    cases = [generate("uniform", eps=0.01, n=20000, seed=0).points]
+    cases += [xy for xy in (generate(kind, eps=4.0**-k).points
+                            for kind in ("comb", "cnet-comb", "sector-lb", "circle")
+                            for k in range(2, 7)) if len(xy) > 3000]
+    assert len(cases) == 5
+    for xy in cases:
+        assert np.array_equal(mst(xy)[0], reference_mst_knn(xy)), len(xy)
+
+
+def test_mst_joins_repeats_above_the_dense_cutoff():
+    rng = np.random.default_rng(6)
+    xy = rng.uniform(0.0, 1.0, size=(3100, 2))
+    xy[3099] = xy[17]
+    t0 = time.perf_counter()
+    e, w = mst(xy)
+    assert time.perf_counter() - t0 < 1.0
+    assert e.shape == (3099, 2)
+    assert [17, 3099] in e.tolist()
+    assert w == _prim_weight(xy)
+    xy[[40, 41, 42]] = xy[5]  # a point with four copies, and more pairs
+    xy[[7, 8]] = xy[1000]
+    e, w = mst(xy)
+    assert e.shape == (3099, 2) and np.all(e[:, 0] < e[:, 1])
+    assert len({tuple(p) for p in e.tolist()}) == 3099
+    assert w == _prim_weight(xy)
+
+
+def _prim_weight(xy):
     e = _prim_dense(xy)
     d = np.hypot(xy[e[:, 0], 0] - xy[e[:, 1], 0], xy[e[:, 0], 1] - xy[e[:, 1], 1])
-    assert w == pytest.approx(float(np.sort(d).sum()), rel=1e-12)
+    return float(np.sort(d).sum())
+
+
+@pytest.mark.parametrize("n", [200, 3100])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mst_rejects_non_finite_coordinates(n, bad):
+    xy = np.random.default_rng(9).uniform(0.0, 1.0, size=(n, 2))
+    xy[n // 2, 1] = bad
+    with pytest.raises(ValueError, match="mst: a coordinate is not finite"):
+        mst(xy)
 
 
 def test_prim_dense_equals_the_masked_prim():
