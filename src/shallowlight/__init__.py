@@ -12,9 +12,11 @@ thins each tile to a centered net, and routes net points through ladder-line
 hitting sets; classical constructions and exact references are included for
 comparison.
 
-The package root exports the entry points; the stages live in their
-submodules (`tiling`, `cnet`, `steiner`, `restricted`, `geom`, `hitting`,
-`oracles`, `render`).
+The package root exports the entry points. `pipeline` runs the build, whose
+stages live in `tiling`, `cnet`, `steiner`, `restricted` and `hitting` on top
+of `geom` and `graphcore`. `baselines` holds the classical constructions,
+`oracles` the exact references, `instances` the generators, `textio` the
+file formats, `render` the SVG drawings and `cli` the `slt` command.
 """
 
 from .baselines import abp_slt, kry_slt, mst_rooted, solomon_slt

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
 from .graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, RootedTree, mst, root_distances
 
@@ -123,21 +123,15 @@ def _check_stretch(dist, ds, eps, who: str) -> None:
 
 
 def hamiltonian_order(instance) -> list[int]:
-    """DFS preorder of the MST from the source; consecutive-hop weight <= 2 MST."""
-    adj, _ = _mst_adjacency(instance)
-    order: list[int] = []
-    seen = [False] * instance.n
-    stack = [instance.source_index]
-    while stack:
-        u = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        order.append(u)
-        for v, _ in reversed(adj[u]):
-            if not seen[v]:
-                stack.append(v)
-    return order
+    """DFS preorder of the MST from the source, neighbors in ascending id;
+    consecutive-hop weight <= 2 MST."""
+    edges, _ = mst(instance.points)
+    n = instance.n
+    u, v = np.concatenate([edges, edges[:, ::-1]]).T
+    adj = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    adj.sort_indices()
+    return depth_first_order(adj, instance.source_index, directed=True,
+                             return_predecessors=False).tolist()
 
 
 @dataclass
@@ -152,7 +146,6 @@ class SubpathBreak:
     order: list[int]
     ranges: list[tuple[int, int]]
     anchors: list[int]
-    factor: float
 
 
 def break_subpaths(instance, order: list[int], factor: float) -> SubpathBreak:
@@ -187,7 +180,7 @@ def break_subpaths(instance, order: list[int], factor: float) -> SubpathBreak:
         ranges.append((i, j))
         anchors.append(best)
         i = j
-    return SubpathBreak(list(order), ranges, anchors, factor)
+    return SubpathBreak(list(order), ranges, anchors)
 
 
 def abp_slt(instance) -> RootedTree:

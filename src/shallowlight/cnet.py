@@ -49,14 +49,11 @@ class CenteredNet:
     """Net points (ascending d(.,s) insertion order) and coverage assignment.
 
     net holds point indices; assignment maps every point index to a position
-    in net (net points map to themselves). eps and source are kept for
-    downstream radius checks.
+    in net (net points map to themselves).
     """
 
     net: list[int]
     assignment: np.ndarray  # (n,) int64, position into net
-    eps: float
-    source: tuple[float, float]
 
 
 def _floor_cells(coords: np.ndarray, cell: np.ndarray) -> list[int]:
@@ -115,7 +112,7 @@ def build_cnet(points, source, eps: float) -> CenteredNet:
         assignment[p] = len(net)
         net.append(p)
         grids.setdefault(r, {}).setdefault(own[p], []).append(p)
-    return CenteredNet(net, np.array(assignment, dtype=np.int64), eps, (sx, sy))
+    return CenteredNet(net, np.array(assignment, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)

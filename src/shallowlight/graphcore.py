@@ -10,10 +10,11 @@ graph: every Euclidean MST edge lies in it, and distinct lengths make the MST
 unique. Otherwise it runs a dense O(n^2) Prim with a lowest-index tie rule.
 Above 3000 points it returns the MST of a k-nearest-neighbor candidate graph
 (k=16, doubled until that graph is connected), which is not always the
-Euclidean MST: a connected k-NN graph can miss an MST edge. On 3,213 points
-(two 17-point clusters 10 apart, joined the long way round by a chain with
-gaps of 15, plus a 3,000-point grid) it weighs 5179.008 against the exact
-5174.007. At every size its edges are (u, v) pairs with u < v, sorted.
+Euclidean MST: a connected k-NN graph can miss an MST edge.
+`test_mst_is_exact_above_the_dense_cutoff` in tests/test_graphcore.py pins a
+3,046-point counterexample as a strict xfail (two 17-point clusters 10 apart,
+joined the long way round by a chain with gaps of 15, plus a 3,000-point
+grid). At every size its edges are (u, v) pairs with u < v, sorted.
 
 shortest_path_tree takes distances from scipy's Dijkstra and gives
 each vertex the lowest-id neighbor u with dist[u] + w(u, v) == dist[v] as its

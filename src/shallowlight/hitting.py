@@ -9,31 +9,15 @@ pierce_groups picks right endpoints (optimal for closed intervals).
 hit_groups_discrete restricts the picks to a per-group candidate set, sorted
 by (group, value), and takes the largest candidate <= hi, ties to the lowest
 candidate position; the restricted builder draws its strip hitting sets from
-it. GroupedSorted answers searchsorted queries inside each group of such a
-sorted array exactly, through integer keys. pierce_intervals and
-hit_intervals_discrete are the one-group calls.
+it. pierce_groups returns the indices of the piercing intervals and
+hit_groups_discrete the positions of the picked candidates. GroupedSorted
+answers searchsorted queries inside each group of such a sorted array
+exactly, through integer keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class StripRect:
-    """Axis-aligned rectangle inside one vertical strip, owned by a net point.
-
-    x_lo/x_hi are the strip's line coordinates; y_lo/y_hi the owner's ellipse
-    cross-section at the strip's right boundary; owner is the net point index.
-    """
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-    owner: int
 
 
 class GroupedSorted:
@@ -125,28 +109,3 @@ def hit_groups_discrete(group, lo, hi, cand: GroupedSorted) -> np.ndarray:
         g_prev, last = gi, v
     return np.asarray(picks, dtype=np.int64)
 
-
-def pierce_intervals(intervals) -> list[float]:
-    """Minimum piercing set, ascending: pierce_groups over one group.
-
-    Every returned point is some interval's hi.
-    """
-    ivs = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    picks = pierce_groups(np.zeros(len(ivs), dtype=np.int64), ivs[:, 0], ivs[:, 1])
-    return ivs[picks, 1].tolist()
-
-
-def hit_intervals_discrete(intervals, candidates) -> list[int]:
-    """Minimum hitting set drawn from candidates; returns candidate indices.
-
-    hit_groups_discrete over one group: an unhit interval, in ascending
-    (hi, lo) order, is assigned the largest candidate value <= hi, ties on
-    equal values to the lowest candidate index. Errors if some interval
-    contains no candidate.
-    """
-    ivs = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    vals = np.asarray(candidates, dtype=np.float64).reshape(-1)
-    by_value = np.argsort(vals, kind="stable")
-    cand = GroupedSorted(np.zeros(vals.size, dtype=np.int64), vals[by_value])
-    picks = hit_groups_discrete(np.zeros(len(ivs), dtype=np.int64), ivs[:, 0], ivs[:, 1], cand)
-    return by_value[picks].tolist()

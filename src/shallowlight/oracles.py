@@ -25,7 +25,6 @@ import numpy as np
 
 from .geom import sandwich_ellipse, slope_proj_slack, vertical_cross_section
 from .graphcore import KIND_INPUT, KIND_SOURCE, RootedTree
-from .hitting import StripRect
 
 _MAX_BRUTE_N = 8
 _tree_catalog: dict[int, np.ndarray] = {}
@@ -117,6 +116,21 @@ def _root_at(edges, dm, root: int, n: int):
                 dist[v] = dist[u] + dm[u, v]
                 stack.append(v)
     return parent, dist
+
+
+@dataclass(frozen=True)
+class StripRect:
+    """Axis-aligned rectangle inside one vertical strip, owned by one point.
+
+    x_lo/x_hi are the strip's edges; y_lo/y_hi the owner's ellipse
+    cross-section at the strip's right edge; owner is the point's index.
+    """
+
+    x_lo: float
+    x_hi: float
+    y_lo: float
+    y_hi: float
+    owner: int
 
 
 @dataclass

@@ -158,7 +158,7 @@ def build_slt(instance, mode: str = "steiner", threads: int = 1):
     """
     if mode not in MODES:
         raise ValueError(f"build_slt: unknown mode {mode!r}")
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"build_slt: threads={threads!r} must be an int >= 1")
     eps = instance.eps
     if not 0.0 < eps <= 1.0 / 16.0:

@@ -18,8 +18,9 @@ candidates are a slice of the x-sorted points, gathered and sorted once by
 to the lowest-id hitting-set member inside each nonempty box, then to the
 source. One pruning pass over the levels (`prune_levels`) drops each stop one
 level above the last kept stop, so consecutive interior stops stay at least
-two levels apart and geometric weights telescope. `paths`, `raw_paths` and
-`strips` are derived from the arrays on request.
+two levels apart and geometric weights telescope. `restricted_tile_paths`
+returns the tile's path graph, its (net point, level) stop table and the
+stops that survive pruning.
 """
 
 from __future__ import annotations
@@ -31,24 +32,6 @@ import numpy as np
 from .graphcore import KIND_INPUT, KIND_SOURCE, GeoGraph
 from .hitting import GroupedSorted, hit_groups_discrete
 from .steiner import SOURCE_CANON, ladder_depth, ladder_table, line_groups
-
-
-@dataclass
-class LeveledPath:
-    """Path p -> interior stops -> source; one ladder level per interior stop."""
-
-    vertices: list[int]
-    levels: list[int]
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.levels) + 2:
-            raise ValueError("LeveledPath: levels must cover exactly the interior")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("LeveledPath: levels must be strictly increasing")
-
-    @property
-    def interior(self) -> list[int]:
-        return self.vertices[1:-1]
 
 
 def prune_levels(has_stop: np.ndarray) -> np.ndarray:
@@ -72,65 +55,12 @@ def _ranges(start, count) -> np.ndarray:
 
 
 @dataclass
-class StripInfo:
-    """One strip shared by the net points whose ladders agree at this level."""
-
-    level: int
-    x_lo: float
-    x_hi: float
-    owners: list[int]  # net point ids routed through this strip
-    candidates: list[int]  # tile point ids inside, ascending (y, id)
-    hit: list[int]  # chosen hitting-set point ids
-
-
-@dataclass
 class RestrictedTileResult:
+    """Union of per-point hitting-set paths inside one tile (canonical coords)."""
+
     graph: GeoGraph
-    source_id: int
-    k_levels: int
-    net: np.ndarray  # net point ids, one path each
     stop: np.ndarray  # (m, k) stop id per net position and level, -1 for none
     keep: np.ndarray  # (m, k) stops that survive pruning
-    line_index: np.ndarray  # (m, k+1) ladder table: line indices and their x
-    x: np.ndarray
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray]  # line_groups of levels < k
-    cand_id: np.ndarray  # candidate point ids, sorted by (strip, y, id)
-    cand_strip: np.ndarray
-    picks: np.ndarray  # candidate positions of the hitting sets, ascending
-
-    def _paths(self, kept) -> list[LeveledPath]:
-        levels = [np.flatnonzero(row).tolist() for row in kept]
-        return [LeveledPath([p, *stop[lv].tolist(), self.source_id], lv)
-                for p, stop, lv in zip(self.net.tolist(), self.stop, levels)]
-
-    @property
-    def raw_paths(self) -> list[LeveledPath]:
-        return self._paths(self.stop >= 0)
-
-    @property
-    def paths(self) -> list[LeveledPath]:
-        """Pruned, one per net point."""
-        return self._paths(self.keep)
-
-    @property
-    def strips(self) -> dict[tuple[int, int], StripInfo]:
-        """Keyed by (level, line index), ascending."""
-        level, row, strip = self.cells
-        n_strips = int(strip[-1]) + 1 if strip.size else 0
-        bounds = np.searchsorted(strip, np.arange(n_strips + 1)).tolist()
-        cand_cut = np.searchsorted(self.cand_strip, np.arange(n_strips + 1)).tolist()
-        hit_cut = np.searchsorted(self.cand_strip[self.picks], np.arange(n_strips + 1)).tolist()
-        hit = self.cand_id[self.picks]
-        out = {}
-        for s in range(n_strips):
-            a, b = bounds[s], bounds[s + 1]
-            lvl, r = int(level[a]), int(row[a])
-            out[(lvl, int(self.line_index[r, lvl]))] = StripInfo(
-                lvl, float(self.x[r, lvl]), float(self.x[r, lvl + 1]),
-                self.net[row[a:b]].tolist(),
-                self.cand_id[cand_cut[s]:cand_cut[s + 1]].tolist(),
-                hit[hit_cut[s]:hit_cut[s + 1]].tolist())
-        return out
 
 
 def restricted_tile_paths(net_idx, pts, eps: float) -> RestrictedTileResult:
@@ -151,7 +81,7 @@ def restricted_tile_paths(net_idx, pts, eps: float) -> RestrictedTileResult:
     line_index, x, y_lo, y_hi = ladder_table(pts[net], eps, k + 1)
 
     # one cell per (net position, level < k); cells of one strip are consecutive
-    level, row, strip = cells = line_groups(line_index[:, :k])
+    level, row, strip = line_groups(line_index[:, :k])
     head = np.flatnonzero(np.diff(strip, prepend=-1))  # first cell of each strip
     by_x = np.argsort(pts[:, 0], kind="stable")
     xs_sorted = pts[by_x, 0]
@@ -190,5 +120,4 @@ def restricted_tile_paths(net_idx, pts, eps: float) -> RestrictedTileResult:
     edges.append(np.column_stack([prev, np.full(net.size, source_id)]))
     kind = np.repeat(np.int8([KIND_INPUT, KIND_SOURCE]), [n, 1])
     g = GeoGraph.build(np.vstack([pts, [SOURCE_CANON]]), kind, np.concatenate(edges))
-    return RestrictedTileResult(g, source_id, k, net, stop, keep, line_index, x, cells,
-                                cand_id, cand_strip, picks)
+    return RestrictedTileResult(g, stop, keep)

@@ -15,9 +15,9 @@ spacing exactly (8 - (j mod 4)) * 4^{i-1} * eps, inside [4^i eps, 2 * 4^i eps].
 set of its members' cross-sections, found for all lines of the tile in one
 `pierce_groups` sweep; p's path hops to the first piercing point inside its
 own cross-section on each ladder line (one grouped search for all cells),
-then to the source. Vertices are numbered by first use, and the tile's paths
-are kept as one (point, level) table of vertex ids; `paths` and `lines` are
-derived from it on request.
+then to the source. Vertices are numbered by first use. `steiner_tile_paths`
+returns the tile's path graph and its walk table: one row of vertex ids per
+net point, from the point through its stop on each level to the source.
 """
 
 from __future__ import annotations
@@ -91,35 +91,7 @@ class SteinerTileResult:
     """Union of per-point ladder paths inside one tile (canonical coords)."""
 
     graph: GeoGraph
-    source_id: int
-    k_levels: int
     walk: np.ndarray  # (m, k+2) vertex ids: p, its stop on each level, the source
-    line_index: np.ndarray  # (m, k) ladder table: line indices and their x
-    x: np.ndarray
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray]  # line_groups(line_index)
-    pierce: GroupedSorted  # (line, y) of every piercing point
-
-    @property
-    def paths(self) -> list[list[int]]:
-        """Vertex ids per net point, p first, source last; repeats collapsed."""
-        keep = np.diff(self.walk, axis=1, prepend=-1) != 0
-        return [row[kept].tolist() for row, kept in zip(self.walk, keep)]
-
-    @property
-    def lines(self) -> dict[tuple[int, int], tuple[float, list[int], list[float]]]:
-        """(level, line index) -> (x, member rows ascending, piercing ys ascending)."""
-        level, row, line = self.cells
-        n_lines = int(line[-1]) + 1 if line.size else 0
-        bounds = np.searchsorted(line, np.arange(n_lines + 1)).tolist()
-        cut = np.searchsorted(self.pierce.group, np.arange(n_lines + 1)).tolist()
-        out = {}
-        for t in range(n_lines):
-            a, b = bounds[t], bounds[t + 1]
-            lvl, r = int(level[a]), int(row[a])
-            out[(lvl, int(self.line_index[r, lvl]))] = (
-                float(self.x[r, lvl]), row[a:b].tolist(),
-                self.pierce.value[cut[t]:cut[t + 1]].tolist())
-        return out
 
 
 def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
@@ -133,7 +105,7 @@ def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
 
     # every line's piercing set in one sweep (a NaN section raises); a member
     # stops at its line's first pierce >= its lo, else at the line's last
-    level, row, line = cells = line_groups(line_index)
+    level, row, line = line_groups(line_index)
     lo, hi = y_lo[row, level], y_hi[row, level]
     picks = pierce_groups(line, lo, hi)
     pierce = GroupedSorted(line[picks], hi[picks])
@@ -168,4 +140,4 @@ def steiner_tile_paths(net, eps: float) -> SteinerTileResult:
     walk = np.column_stack([np.arange(m), vid[m + 1:].reshape(m, k), np.full(m, source_id)])
     step = walk[:, 1:] != walk[:, :-1]
     g = GeoGraph.build(xy, kind, np.column_stack([walk[:, :-1][step], walk[:, 1:][step]]))
-    return SteinerTileResult(g, source_id, k, walk, line_index, x, cells, pierce)
+    return SteinerTileResult(g, walk)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -15,9 +15,9 @@ from scipy.spatial import cKDTree
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER, GeoGraph
-from shallowlight.hitting import StripRect
+from shallowlight.hitting import GroupedSorted, hit_groups_discrete, pierce_groups
 from shallowlight.instances import Instance
-from shallowlight.restricted import LeveledPath, StripInfo
+from shallowlight.oracles import StripRect
 from shallowlight.steiner import SOURCE_CANON, ladder_depth, ladder_table
 from shallowlight.tiling import TileId, tiles_of
 
@@ -392,6 +392,89 @@ def tooth_regions(instance) -> list[np.ndarray]:
 # hitting.py replaced; the array forms must give the same graphs and stops.
 
 
+def pierce_intervals(intervals) -> list[float]:
+    """Minimum piercing set, ascending: the product's pierce_groups over one group.
+
+    Every returned point is some interval's hi.
+    """
+    ivs = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    picks = pierce_groups(np.zeros(len(ivs), dtype=np.int64), ivs[:, 0], ivs[:, 1])
+    return ivs[picks, 1].tolist()
+
+
+def hit_intervals_discrete(intervals, candidates) -> list[int]:
+    """Minimum hitting set drawn from candidates, as candidate indices: the
+    product's hit_groups_discrete over one group.
+
+    An unhit interval, in ascending (hi, lo) order, is assigned the largest
+    candidate value <= hi, ties on equal values to the lowest candidate index.
+    Errors if some interval contains no candidate.
+    """
+    ivs = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    vals = np.asarray(candidates, dtype=np.float64).reshape(-1)
+    by_value = np.argsort(vals, kind="stable")
+    cand = GroupedSorted(np.zeros(vals.size, dtype=np.int64), vals[by_value])
+    picks = hit_groups_discrete(np.zeros(len(ivs), dtype=np.int64), ivs[:, 0], ivs[:, 1], cand)
+    return by_value[picks].tolist()
+
+
+@dataclass
+class LeveledPath:
+    """Path p -> interior stops -> source; one ladder level per interior stop."""
+
+    vertices: list[int]
+    levels: list[int]
+
+    def __post_init__(self):
+        if len(self.vertices) != len(self.levels) + 2:
+            raise ValueError("LeveledPath: levels must cover exactly the interior")
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("LeveledPath: levels must be strictly increasing")
+
+    @property
+    def interior(self) -> list[int]:
+        return self.vertices[1:-1]
+
+
+@dataclass
+class StripInfo:
+    """One strip shared by the net points whose ladders agree at this level."""
+
+    level: int
+    x_lo: float
+    x_hi: float
+    owners: list[int]  # net point ids routed through this strip
+    candidates: list[int]  # tile point ids inside, ascending (y, id)
+    hit: list[int]  # chosen hitting-set point ids
+
+
+def walk_paths(walk) -> list[list[int]]:
+    """Steiner paths from a walk table: vertex ids per net point, p first,
+    source last, repeats collapsed."""
+    keep = np.diff(walk, axis=1, prepend=-1) != 0
+    return [row[kept].tolist() for row, kept in zip(walk, keep)]
+
+
+def leveled_paths(net_idx, stop, kept, source_id: int) -> list[LeveledPath]:
+    """Restricted paths from a stop table: per net point, the stops where
+    kept is set (stop >= 0 for the raw paths, keep for the pruned ones)."""
+    levels = [np.flatnonzero(row).tolist() for row in kept]
+    return [LeveledPath([p, *row[lv].tolist(), source_id], lv)
+            for p, row, lv in zip(np.ravel(net_idx).tolist(), stop, levels)]
+
+
+def assert_same_tile(res, ref):
+    """A tile router's result equals its reference's: every array of the
+    graph and of the stop table, in dtype, shape and bytes."""
+    pairs = [(f"graph.{f.name}", getattr(res.graph, f.name), getattr(ref.graph, f.name))
+             for f in fields(res.graph)]
+    pairs += [(f.name, getattr(res, f.name), getattr(ref, f.name))
+              for f in fields(res) if f.name != "graph"]
+    for name, got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def _check(intervals):
     out = []
     for iv in intervals:
@@ -502,11 +585,9 @@ def reference_steiner_tile_paths(net, eps: float):
 
     # path rows [p, stops..., source]; a vertex equal to the previous collapses
     walk = np.column_stack([np.arange(m), vid[m + 1:].reshape(m, k), np.full(m, source_id)])
-    keep = np.diff(walk, axis=1, prepend=-1) != 0
-    paths = [row[kept].tolist() for row, kept in zip(walk, keep)]
-    edges = [e for path in paths for e in zip(path, path[1:])]
+    edges = [e for path in walk_paths(walk) for e in zip(path, path[1:])]
     g = GeoGraph.build(xy, kind, edges)
-    return SimpleNamespace(graph=g, paths=paths, source_id=source_id, k_levels=k, lines=lines)
+    return SimpleNamespace(graph=g, walk=walk, lines=lines)
 
 
 def reference_restricted_tile_paths(net_idx, pts, eps: float):
@@ -542,11 +623,14 @@ def reference_restricted_tile_paths(net_idx, pts, eps: float):
         strips[(level, j)] = StripInfo(
             level, x_lo, x_hi, net[rows].tolist(), cand_ids, [cand_ids[t] for t in hit])
 
-    raw_paths = [LeveledPath([p, *stop.values(), source_id], list(stop))
-                 for p, stop in zip(net.tolist(), stops)]
-    paths = [prune_path(raw) for raw in raw_paths]
-    edges = [e for path in paths for e in zip(path.vertices, path.vertices[1:])]
+    stop = np.full((net.size, k), -1, dtype=np.int64)
+    keep = np.zeros((net.size, k), dtype=bool)
+    edges = []
+    for r, (p, own) in enumerate(zip(net.tolist(), stops)):
+        stop[r, list(own)] = list(own.values())
+        path = prune_path(LeveledPath([p, *own.values(), source_id], list(own)))
+        keep[r, path.levels] = True
+        edges += zip(path.vertices, path.vertices[1:])
     kind = np.repeat(np.int8([KIND_INPUT, KIND_SOURCE]), [n, 1])
     g = GeoGraph.build(np.vstack([pts, [SOURCE_CANON]]), kind, edges)
-    return SimpleNamespace(graph=g, source_id=source_id, k_levels=k, paths=paths,
-                           raw_paths=raw_paths, strips=strips)
+    return SimpleNamespace(graph=g, stop=stop, keep=keep, strips=strips)

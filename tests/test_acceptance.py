@@ -21,7 +21,6 @@ from shallowlight.geom import (
     vertical_cross_section,
 )
 from shallowlight.graphcore import mst
-from shallowlight.hitting import hit_intervals_discrete, pierce_intervals
 from shallowlight.instances import generate
 from shallowlight.oracles import brute_force_opt_st, steiner_lower_bound_certificate
 from shallowlight.pipeline import build_slt
@@ -32,8 +31,10 @@ from helpers import (
     dist_sums,
     exit_lower_bound,
     from_canonical,
+    hit_intervals_discrete,
     inner_horizontal_focus,
     loglog_slope,
+    pierce_intervals,
     sample_ellipse,
     tile_of,
     tooth_regions,

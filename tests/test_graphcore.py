@@ -212,6 +212,23 @@ def test_mst_joins_repeats_above_the_dense_cutoff():
     assert w == _prim_weight(xy)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="above 3000 points mst() takes the MST of a connected k-NN graph, "
+                          "which can miss an MST edge (ROADMAP direction 7)")
+def test_mst_is_exact_above_the_dense_cutoff():
+    # two 17-point clusters 10 apart: each point's 16 NN are its own cluster, so
+    # the k-NN graph joins them only through the first chain (gaps of 15); the
+    # second chain reaches a 3,000-point grid
+    rng = np.random.default_rng(0)
+    clusters = [rng.uniform(-0.1, 0.1, size=(17, 2)) + shift for shift in ((0, 0), (10, 0))]
+    chains = [(0, 15), (0, 30), (0, 45), (15, 45), (30, 45), (30, 30), (30, 15), (25, 0),
+              (45, 45), (60, 45), (75, 45), (90, 45)]
+    gx, gy = np.meshgrid(np.arange(60.0), np.arange(50.0))
+    xy = np.vstack([*clusters, chains, np.column_stack([gx.ravel() + 105, gy.ravel() + 45])])
+    assert len(xy) == 3046
+    assert mst(xy)[1] == _prim_weight(xy)  # today 3210.720 against 3204.726
+
+
 def _prim_weight(xy):
     e = _prim_dense(xy)
     d = np.hypot(xy[e[:, 0], 0] - xy[e[:, 1], 0], xy[e[:, 0], 1] - xy[e[:, 1], 1])

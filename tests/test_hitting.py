@@ -4,16 +4,12 @@ grouped sweeps against the per-group scalar greedy."""
 import numpy as np
 import pytest
 
-from shallowlight.hitting import (
-    GroupedSorted,
-    hit_groups_discrete,
-    hit_intervals_discrete,
-    pierce_groups,
-    pierce_intervals,
-)
+from shallowlight.hitting import GroupedSorted, hit_groups_discrete, pierce_groups
 
 from helpers import (
     brute_force_min_hitting,
+    hit_intervals_discrete,
+    pierce_intervals,
     reference_hit_intervals_discrete,
     reference_pierce_intervals,
 )

@@ -232,6 +232,6 @@ def test_build_rejects_bad_arguments():
     tiny = make_instance([(2.0, 0.0)], eps=1.0 / 32.0)
     with pytest.raises(ValueError, match="at least 2"):
         build_slt(tiny)
-    for threads in (0, -1, 1.0, 2.5, "2", None):
+    for threads in (0, -1, 1.0, 2.5, "2", None, True):
         with pytest.raises(ValueError, match=r"threads=.* must be an int >= 1"):
             build_slt(inst, threads=threads)

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
-from shallowlight.restricted import LeveledPath, prune_levels, restricted_tile_paths
+from shallowlight.restricted import prune_levels, restricted_tile_paths
 from shallowlight.steiner import SOURCE_CANON, ladder_depth
 
-from helpers import Ladder, brute_force_min_hitting, ladder_lines, level_rectangles, prune_path
+from helpers import (
+    Ladder,
+    LeveledPath,
+    assert_same_tile,
+    brute_force_min_hitting,
+    ladder_lines,
+    leveled_paths,
+    level_rectangles,
+    prune_path,
+    reference_restricted_tile_paths,
+)
 
 
 def test_leveled_path_validation():
@@ -108,16 +118,17 @@ def test_tile_paths_pinned_two_hop_example():
     eps = 1.0 / 64.0
     pts = np.array([(0.5, 0.0), (0.55, 0.001), (0.9, -0.002)])
     res = restricted_tile_paths([0], pts, eps)
-    assert res.source_id == 3
-    assert res.k_levels == 2
-    raw = res.raw_paths[0]
+    ref = reference_restricted_tile_paths([0], pts, eps)
+    assert_same_tile(res, ref)
+    assert res.stop.shape == (1, 2)
+    [raw] = leveled_paths([0], res.stop, res.stop >= 0, 3)
     assert raw.vertices == [0, 1, 2, 3] and raw.levels == [0, 1]
-    pruned = res.paths[0]
+    [pruned] = leveled_paths([0], res.stop, res.keep, 3)
     assert pruned.vertices == [0, 1, 3] and pruned.levels == [0]
     assert res.graph.edges.tolist() == [[0, 1], [1, 3]]
-    assert set(res.strips) == {(0, 34), (1, 10)}
-    assert res.strips[(0, 34)].candidates == [1]
-    assert res.strips[(1, 10)].candidates == [2]
+    assert set(ref.strips) == {(0, 34), (1, 10)}
+    assert ref.strips[(0, 34)].candidates == [1]
+    assert ref.strips[(1, 10)].candidates == [2]
 
 
 def test_tile_paths_share_strip_hit_points():
@@ -128,9 +139,10 @@ def test_tile_paths_share_strip_hit_points():
         (0.9, 0.001),
     ])
     res = restricted_tile_paths([0, 1], pts, eps)
-    assert res.paths[0].vertices[1] == 2
-    assert res.paths[1].vertices[1] == 2
-    strip = res.strips[(0, 34)]
+    ref = reference_restricted_tile_paths([0, 1], pts, eps)
+    assert_same_tile(res, ref)
+    assert res.stop[:, 0].tolist() == [2, 2]
+    strip = ref.strips[(0, 34)]
     assert strip.owners == [0, 1]
     assert strip.hit == [2]
 
@@ -148,14 +160,16 @@ def test_tile_paths_structural_invariants():
     rng = np.random.default_rng(11)
     pts, net = _random_tile(rng, 220, eps, 45)
     res = restricted_tile_paths(net, pts, eps)
+    ref = reference_restricted_tile_paths(net, pts, eps)
+    assert_same_tile(res, ref)
     n = len(pts)
     g = res.graph
-    assert res.source_id == n
     assert np.array_equal(g.xy[:n], pts)
     assert tuple(g.xy[n]) == SOURCE_CANON
 
     used_edges = set()
-    for p, raw, pruned in zip(net, res.raw_paths, res.paths):
+    for p, raw, pruned in zip(net, leveled_paths(net, res.stop, res.stop >= 0, n),
+                              leveled_paths(net, res.stop, res.keep, n)):
         assert raw.vertices[0] == pruned.vertices[0] == p
         assert raw.vertices[-1] == pruned.vertices[-1] == n
         assert all(b - a >= 2 for a, b in zip(pruned.levels, pruned.levels[1:]))
@@ -170,8 +184,8 @@ def test_tile_paths_structural_invariants():
         )
     assert used_edges == {tuple(e) for e in g.edges.tolist()}
 
-    lads = {p: ladder_lines(pts[p], eps, levels=res.k_levels + 1) for p in net}
-    for (level, j), strip in res.strips.items():
+    lads = {p: ladder_lines(pts[p], eps, levels=ladder_depth(eps) + 1) for p in net}
+    for (level, j), strip in ref.strips.items():
         # candidates ascend by (y, id) and sit strictly inside the strip
         keys = [(pts[v, 1], v) for v in strip.candidates]
         assert keys == sorted(keys)
@@ -186,13 +200,15 @@ def test_tile_paths_stops_hit_own_boxes_with_lowest_hit_id():
     rng = np.random.default_rng(13)
     pts, net = _random_tile(rng, 260, eps, 50)
     res = restricted_tile_paths(net, pts, eps)
-    for p, raw in zip(net, res.raw_paths):
-        rects = level_rectangles(pts[p], eps, owner=p,
-                                 ladder=ladder_lines(pts[p], eps, levels=res.k_levels + 1))
-        lad = ladder_lines(pts[p], eps, levels=res.k_levels + 1)
+    ref = reference_restricted_tile_paths(net, pts, eps)
+    assert_same_tile(res, ref)
+    k = ladder_depth(eps)
+    for p, raw in zip(net, leveled_paths(net, res.stop, res.stop >= 0, len(pts))):
+        lad = ladder_lines(pts[p], eps, levels=k + 1)
+        rects = level_rectangles(pts[p], eps, owner=p, ladder=lad)
         by_level = dict(zip(raw.levels, raw.interior))
-        for i, r in enumerate(rects[: res.k_levels]):
-            strip = res.strips[(i, lad.line_index[i])]
+        for i, r in enumerate(rects[:k]):
+            strip = ref.strips[(i, lad.line_index[i])]
             inside = [
                 v for v in strip.hit if r.y_lo <= pts[v, 1] <= r.y_hi
             ]
@@ -211,13 +227,15 @@ def test_strip_hitting_sets_are_minimum():
     rng = np.random.default_rng(17)
     pts, net = _random_tile(rng, 120, eps, 30)
     res = restricted_tile_paths(net, pts, eps)
+    ref = reference_restricted_tile_paths(net, pts, eps)
+    assert_same_tile(res, ref)
     rects = {
         p: level_rectangles(pts[p], eps, owner=p,
-                            ladder=ladder_lines(pts[p], eps, levels=res.k_levels + 1))
+                            ladder=ladder_lines(pts[p], eps, levels=ladder_depth(eps) + 1))
         for p in net
     }
     compared = 0
-    for (level, _), strip in res.strips.items():
+    for (level, _), strip in ref.strips.items():
         ivs = []
         for p in strip.owners:
             r = rects[p][level]
@@ -238,7 +256,7 @@ def test_tile_paths_modest_route_stretch():
     res = restricted_tile_paths(net, pts, eps)
     g = res.graph
     cap = 1.0 + 50.0 * eps * math.log2(1.0 / eps)
-    for p, path in zip(net, res.paths):
+    for p, path in zip(net, leveled_paths(net, res.stop, res.keep, len(pts))):
         vs = path.vertices
         walk = sum(
             float(np.hypot(*(g.xy[vs[t + 1]] - g.xy[vs[t]])))

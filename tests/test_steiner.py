@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from shallowlight.geom import sandwich_ellipse, vertical_cross_section
 from shallowlight.graphcore import KIND_INPUT, KIND_SOURCE, KIND_STEINER
-from shallowlight.hitting import pierce_intervals
 from shallowlight.steiner import (
     SOURCE_CANON,
     ladder_depth,
@@ -18,7 +17,15 @@ from shallowlight.steiner import (
     steiner_tile_paths,
 )
 
-from helpers import ellipse_contains, ladder_lines, reference_line_groups
+from helpers import (
+    assert_same_tile,
+    ellipse_contains,
+    ladder_lines,
+    pierce_intervals,
+    reference_line_groups,
+    reference_steiner_tile_paths,
+    walk_paths,
+)
 
 
 def test_ladder_depth_values_and_domain():
@@ -137,16 +144,15 @@ def test_tile_paths_structure_and_memberships():
     res = steiner_tile_paths(net, eps)
     m = len(net)
     g = res.graph
-    assert res.source_id == m  # registry: net points, then source
     assert g.kind[:m].tolist() == [KIND_INPUT] * m
     assert g.kind[m] == KIND_SOURCE
     assert set(g.kind[m + 1 :].tolist()) <= {KIND_STEINER}
     assert np.array_equal(g.xy[:m], net)
     assert tuple(g.xy[m]) == SOURCE_CANON
-    assert res.k_levels == ladder_depth(eps)
-    for i, path in enumerate(res.paths):
+    assert res.walk.shape == (m, ladder_depth(eps) + 2)
+    for i, path in enumerate(walk_paths(res.walk)):
         assert path[0] == i
-        assert path[-1] == res.source_id
+        assert path[-1] == m  # registry: net points, then source
         xs = g.xy[path, 0]
         assert np.all(np.diff(xs) > 0)  # x-monotone toward the source
         assert len(set(path)) == len(path)
@@ -160,8 +166,10 @@ def test_tile_paths_stop_is_first_pierce_in_own_section():
     rng = np.random.default_rng(7)
     net = _canonical_net(rng, 25, eps)
     res = steiner_tile_paths(net, eps)
-    g = res.graph
-    for (lvl, j), (x, members, pierce) in res.lines.items():
+    ref = reference_steiner_tile_paths(net, eps)
+    assert_same_tile(res, ref)
+    g, paths = res.graph, walk_paths(res.walk)
+    for (lvl, j), (x, members, pierce) in ref.lines.items():
         assert x == pytest.approx(j * 4.0**lvl * eps, rel=1e-15)
         assert pierce == sorted(pierce)
         ivs = []
@@ -171,8 +179,7 @@ def test_tile_paths_stop_is_first_pierce_in_own_section():
             iv = vertical_cross_section(sandwich_ellipse(net[i], SOURCE_CANON, eps), x)
             ivs.append(iv)
             want = next(h for h in pierce if iv.lo <= h <= iv.hi)
-            path = res.paths[i]
-            stop = next(v for v in path if g.xy[v, 0] == x)
+            stop = next(v for v in paths[i] if g.xy[v, 0] == x)
             assert g.xy[stop, 1] == want
         assert pierce == pierce_intervals(ivs)
 
@@ -181,12 +188,13 @@ def test_tile_paths_share_steiner_points():
     eps = 4.0**-3
     net = [(0.5, 0.004), (0.5002, -0.004)]
     res = steiner_tile_paths(net, eps)
+    paths = walk_paths(res.walk)
     # same ladder, overlapping sections: both paths hop through one pierce point
-    assert res.paths[0][1] == res.paths[1][1]
+    assert paths[0][1] == paths[1][1]
     union = res.graph.total_weight()
     walks = sum(
         float(np.hypot(*(res.graph.xy[p[t + 1]] - res.graph.xy[p[t]])))
-        for p in res.paths
+        for p in paths
         for t in range(len(p) - 1)
     )
     assert union < walks  # shared hops are paid once
@@ -200,7 +208,7 @@ def test_tile_paths_modest_route_stretch():
     res = steiner_tile_paths(net, eps)
     g = res.graph
     cap = 1.0 + 50.0 * eps * math.log2(1.0 / eps)
-    for i, path in enumerate(res.paths):
+    for i, path in enumerate(walk_paths(res.walk)):
         walk = sum(
             float(np.hypot(*(g.xy[path[t + 1]] - g.xy[path[t]])))
             for t in range(len(path) - 1)
@@ -220,7 +228,6 @@ def test_tile_paths_error_cases():
 
 def test_tile_paths_empty_net():
     res = steiner_tile_paths(np.empty((0, 2)), 4.0**-3)
-    assert res.paths == []
-    assert res.source_id == 0
-    assert res.graph.n_vertices == 1
+    assert res.walk.shape == (0, 4)
+    assert res.graph.kind.tolist() == [KIND_SOURCE]
     assert res.graph.edges.shape[0] == 0

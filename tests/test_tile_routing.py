@@ -1,8 +1,8 @@
 """Array tile routers against their per-line and per-strip scalar references.
 
-steiner_tile_paths and restricted_tile_paths must give the same graph bytes,
-stops, lines and strips as the references in helpers.py, and raise the same
-errors, on tie-heavy hypothesis tiles and on every tile of real builds.
+steiner_tile_paths and restricted_tile_paths must give the same graph bytes
+and stop tables as the references in helpers.py, and raise the same errors,
+on tie-heavy hypothesis tiles and on every tile of real builds.
 """
 
 import math
@@ -16,14 +16,11 @@ from shallowlight import instances, pipeline, steiner
 from shallowlight.restricted import restricted_tile_paths
 from shallowlight.steiner import ladder_table, steiner_tile_paths
 
-from helpers import reference_restricted_tile_paths, reference_steiner_tile_paths
-
-
-def _same_graph(a, b):
-    for name in ("xy", "kind", "edges", "weights"):
-        got, want = getattr(a, name), getattr(b, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+from helpers import (
+    assert_same_tile,
+    reference_restricted_tile_paths,
+    reference_steiner_tile_paths,
+)
 
 
 def _outcome(fn, *args):
@@ -39,10 +36,7 @@ def _check_steiner(net, eps):
     assert err == ref_err
     if ref is None:
         return False
-    _same_graph(res.graph, ref.graph)
-    assert (res.source_id, res.k_levels) == (ref.source_id, ref.k_levels)
-    assert res.paths == ref.paths
-    assert res.lines == ref.lines
+    assert_same_tile(res, ref)
     return True
 
 
@@ -52,11 +46,7 @@ def _check_restricted(net_idx, pts, eps):
     assert err == ref_err
     if ref is None:
         return False
-    _same_graph(res.graph, ref.graph)
-    assert (res.source_id, res.k_levels) == (ref.source_id, ref.k_levels)
-    assert res.raw_paths == ref.raw_paths  # the stops, level by level
-    assert res.paths == ref.paths
-    assert res.strips == ref.strips
+    assert_same_tile(res, ref)  # the stops, level by level, and the kept ones
     return True
 
 
@@ -151,7 +141,7 @@ def test_steiner_rejects_a_piercing_set_that_misses(monkeypatch):
     # the check behind the sweep: a member whose line lacks a pierce in its
     # section raises instead of routing through a point outside its ellipse
     net = [(0.5, 0.18), (0.5, -0.18)]  # disjoint sections: two pierces per line
-    assert len(steiner_tile_paths(net, 4.0**-3).lines[(1, 10)][2]) == 2
+    assert len(reference_steiner_tile_paths(net, 4.0**-3).lines[(1, 10)][2]) == 2
     real = steiner.pierce_groups
     monkeypatch.setattr(steiner, "pierce_groups", lambda *a: real(*a)[:-1])
     with pytest.raises(ValueError, match="piercing set misses a member interval"):
